@@ -7,7 +7,6 @@ guarantee ride along, plus exact small-instance oracles and a Monte Carlo
 engine for everything larger.
 """
 
-from ._jit import BACKEND, NUMBA_ENABLED
 from .baselines import (UniformThreshold, kuniform_opt_fraction_threshold,
                         kuniform_probabilistic_threshold, make_baseline,
                         partition_thresholds, samuel_cahn_threshold)

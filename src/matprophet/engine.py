@@ -54,9 +54,6 @@ class ThresholdRule:
         at = values == self.thresholds
         return (values > self.thresholds) | (at & (coins < self.atom_pass))
 
-    def fingerprint(self):
-        return (self.thresholds.tobytes(), self.atom_pass.tobytes())
-
 
 @dataclass(frozen=True)
 class ArrivalOrder:
@@ -151,14 +148,10 @@ def execute_online(inst, rule, order, values, atom_coins=None, rng=None):
         atom_coins = rng.random(inst.n)
     atom_coins = np.asarray(atom_coins, dtype=float)
     passing = rule.passes(values, atom_coins)
-    accepted = []
-    total = 0.0
-    for e in perm:
-        e = int(e)
-        if passing[e] and inst.matroid.is_independent(accepted + [e]):
-            accepted.append(e)
-            total += values[e]
-    return TrialReport(tuple(accepted), total, tag,
+    totals, accepted = kernels.batched_greedy(inst.matroid, perm,
+                                              passing[None], values[None])
+    picked = tuple(int(e) for e in perm if accepted[0, e])
+    return TrialReport(picked, float(totals[0]), tag,
                        values=values, atom_coins=atom_coins)
 
 
@@ -176,34 +169,12 @@ def expected_rule_value(inst, rule, order, cap=None):
     perm = order.perm if isinstance(order, ArrivalOrder) else \
         ArrivalOrder(order).perm
     r, tau = rule_pass_profile(inst, rule)
-    cons = [int(e) for e in perm if r[e] > 0.0]
+    cons = perm[r[perm] > 0.0]
     limit = resolve_enum_cap(cap)
     if 2 ** len(cons) > limit:
         raise EnumerationCapError(
             f"2^{len(cons)} pass patterns exceed the enumeration cap {limit}")
-    args = inst.matroid.kernel_args()
-    if args is not None:
-        return float(kernels.rule_value_exact(
-            *args, np.array(cons, dtype=np.int64), r, tau, perm))
-    total = 0.0
-    for bits in itertools.product((False, True), repeat=len(cons)):
-        prob = 1.0
-        take = set()
-        for e, hit in zip(cons, bits):
-            prob *= r[e] if hit else 1.0 - r[e]
-            if hit:
-                take.add(e)
-        if prob == 0.0:
-            continue
-        picked = []
-        value = 0.0
-        for e in perm:
-            e = int(e)
-            if e in take and inst.matroid.is_independent(picked + [e]):
-                picked.append(e)
-                value += tau[e]
-        total += prob * value
-    return total
+    return kernels.rule_value_exact(inst.matroid, cons, r, tau)
 
 
 def resolve_order(inst, order, algo=None, rng=None):
@@ -260,6 +231,25 @@ def _ratio_summary(alg_vals, pro_vals, level, trials):
                         degenerate, low)
 
 
+def _draw_trials(inst, algo, seed, trial_ids, fixed_order):
+    """Trial tr draws from SeedSequence((seed, tr)), in this order: its
+    rule (e.g. a cut), values, atom coins, and, without a fixed order, an
+    arrival permutation. Returns the per-trial rows (perm, thresholds,
+    atom_pass, values, coins)."""
+    rows = (len(trial_ids), inst.n)
+    perm = np.empty(rows, dtype=np.int64)
+    thr, atom, values, coins = (np.empty(rows) for _ in range(4))
+    for r, tr in enumerate(trial_ids):
+        trial_rng = np.random.default_rng(np.random.SeedSequence((seed, tr)))
+        rule = algo.build(trial_rng)
+        thr[r], atom[r] = rule.thresholds, rule.atom_pass
+        values[r] = sample_value_matrix(inst, trial_rng, 1)[0]
+        coins[r] = trial_rng.random(inst.n)
+        perm[r] = fixed_order.perm if fixed_order is not None else \
+            trial_rng.permutation(inst.n)
+    return perm, thr, atom, values, coins
+
+
 def monte_carlo_ratio(inst, algo, trials, seed=0, order="worst_case",
                       level=0.99, return_trials=False):
     """Paired Monte Carlo estimate of online value / offline value.
@@ -273,56 +263,41 @@ def monte_carlo_ratio(inst, algo, trials, seed=0, order="worst_case",
     fixed_order = None
     if not (isinstance(order, str) and order == "random"):
         fixed_order = resolve_order(inst, order, algo)
-
-    args = inst.matroid.kernel_args()
-    fast = (fixed_order is not None and args is not None
-            and hasattr(algo, "consider_matrix")
-            and hasattr(algo, "mc_rule_arrays"))
+    # a random order, or a builder without batch arrays, draws every trial
+    # from its own stream; otherwise whole blocks come from one stream
+    per_trial = fixed_order is None or not (
+        hasattr(algo, "consider_matrix") and hasattr(algo, "mc_rule_arrays"))
     alg_vals = np.empty(trials)
     pro_vals = np.empty(trials)
     accepted = np.zeros((trials, inst.n), dtype=bool) if return_trials \
         else None
-    if fast:
-        thr, atom = algo.mc_rule_arrays()
-        kind, nv, eu, ev, block_id, caps = args
-        done = 0
-        while done < trials:
-            batch = min(1 << 14, trials - done)
+    # per-trial streams do not depend on the block size: small blocks keep
+    # their stacked rows small
+    step = 1 << 9 if per_trial else kernels.BLOCK
+    for done in range(0, trials, step):
+        batch = min(step, trials - done)
+        if per_trial:
+            perm, thr, atom, values, coins = _draw_trials(
+                inst, algo, seed, range(done, done + batch), fixed_order)
+            consider = True
+        else:
+            perm = fixed_order.perm
+            thr, atom = algo.mc_rule_arrays()
             values = sample_value_matrix(inst, rng, batch)
             coins = rng.random((batch, inst.n))
             consider = algo.consider_matrix(rng, batch)
-            if kind == kernels.KIND_GRAPHIC:
-                a, acc = kernels.mc_online_graphic(nv, eu, ev,
-                                                   fixed_order.perm, thr,
-                                                   atom, values, coins,
-                                                   consider)
-            else:
-                a, acc = kernels.mc_online_partition(block_id, caps,
-                                                     fixed_order.perm, thr,
-                                                     atom, values, coins,
-                                                     consider)
-            p, _ = kernels.mc_max_weight(kind, nv, eu, ev, block_id, caps,
-                                         values)
-            alg_vals[done:done + batch] = a
-            pro_vals[done:done + batch] = p
-            if accepted is not None:
-                accepted[done:done + batch] = acc
-            done += batch
-    else:
-        for tr in range(trials):
-            trial_rng = np.random.default_rng(
-                np.random.SeedSequence((seed, tr)))
-            rule = algo.build(trial_rng)
-            values = sample_value_matrix(inst, trial_rng, 1)[0]
-            coins = trial_rng.random(inst.n)
-            this_order = fixed_order if fixed_order is not None else \
-                resolve_order(inst, "random", algo, trial_rng)
-            rep = execute_online(inst, rule, this_order, values, coins)
-            alg_vals[tr] = rep.alg_value
-            basis = inst.matroid.max_weight_basis(values)
-            pro_vals[tr] = sum(values[e] for e in basis)
-            if accepted is not None:
-                accepted[tr, list(rep.accepted)] = True
+        a, acc = kernels.mc_online_graphic(inst.matroid, perm, thr, atom,
+                                           values, coins, consider)
+        p, best = kernels.mc_max_weight(inst.matroid, values)
+        if per_trial:
+            # per-trial streams sum the prophet's basis in index order
+            p = np.zeros(batch)
+            for e in range(inst.n):
+                np.add(p, values[:, e], out=p, where=best[:, e])
+        alg_vals[done:done + batch] = a
+        pro_vals[done:done + batch] = p
+        if accepted is not None:
+            accepted[done:done + batch] = acc
 
     summary = _ratio_summary(alg_vals, pro_vals, level, trials)
     if return_trials:

@@ -62,10 +62,6 @@ class Cut:
     def side_a(self):
         return frozenset(int(v) for v in np.flatnonzero(self.in_a))
 
-    @property
-    def side_b(self):
-        return frozenset(int(v) for v in np.flatnonzero(~self.in_a))
-
 
 def orient_low_indegree(g, p_scaled):
     """Peel vertices whose current incident mass is at most 1/2 (lowest
@@ -126,30 +122,21 @@ def blocking_probability(g, probs, subset, i, mode="exact", trials=10_000,
         if 2 ** members.size > limit:
             raise EnumerationCapError(
                 f"2^{members.size} activation patterns exceed the cap {limit}")
-        return float(kernels.connect_probability(
-            g.num_vertices, g.eu, g.ev, members, p, int(g.eu[i]),
-            int(g.ev[i])))
+        return kernels.connect_probability(g, members, p, int(i))
     if mode != "mc":
         raise ValueError(f"unknown mode {mode!r}")
+    if trials <= 0:
+        raise ValueError("need a positive trial count")
     rng = np.random.default_rng(seed)
-    tu, tv = int(g.eu[i]), int(g.ev[i])
+    order = np.append(members, int(i))
     hits = 0
-    for _ in range(trials):
-        active = members[rng.random(members.size) < p[members]]
-        parent = list(range(g.num_vertices))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in active:
-            ru, rv = find(int(g.eu[e])), find(int(g.ev[e]))
-            if ru != rv:
-                parent[ru] = rv
-        if find(tu) == find(tv):
-            hits += 1
+    for done in range(0, trials, kernels.BLOCK):
+        batch = min(kernels.BLOCK, trials - done)
+        take = np.zeros((batch, g.n), dtype=bool)
+        take[:, members] = rng.random((batch, members.size)) < p[members]
+        take[:, i] = True
+        _, accepted = kernels.batched_greedy(g, order, take, 0.0)
+        hits += batch - int(accepted[:, i].sum())
     return hits / trials
 
 
@@ -158,9 +145,8 @@ def cut_objective(g, p_scaled, t, orientation, cut):
     crossing set), for one fixed cut."""
     assign = np.where(np.asarray(cut.in_a), 1, 0).astype(np.int8)
     return float(kernels.expected_cut_objective(
-        g.num_vertices, g.eu, g.ev, orientation.heads,
-        np.asarray(p_scaled, dtype=float), np.asarray(t, dtype=float),
-        assign))
+        g, orientation.heads, np.asarray(p_scaled, dtype=float),
+        np.asarray(t, dtype=float), assign))
 
 
 def cut_bound_exact(g, p_scaled, t, orientation, cap=None):
@@ -172,9 +158,8 @@ def cut_bound_exact(g, p_scaled, t, orientation, cap=None):
             f"2^{g.num_vertices} cuts exceed the enumeration cap {limit}")
     assign = np.full(g.num_vertices, -1, dtype=np.int8)
     return float(kernels.expected_cut_objective(
-        g.num_vertices, g.eu, g.ev, orientation.heads,
-        np.asarray(p_scaled, dtype=float), np.asarray(t, dtype=float),
-        assign))
+        g, orientation.heads, np.asarray(p_scaled, dtype=float),
+        np.asarray(t, dtype=float), assign))
 
 
 def derandomize_cut(g, p_scaled, t, orientation):
@@ -185,11 +170,11 @@ def derandomize_cut(g, p_scaled, t, orientation):
     assign = np.full(g.num_vertices, -1, dtype=np.int8)
     for v in range(g.num_vertices):
         assign[v] = 1
-        with_a = kernels.expected_cut_objective(
-            g.num_vertices, g.eu, g.ev, orientation.heads, p, tv, assign)
+        with_a = kernels.expected_cut_objective(g, orientation.heads, p, tv,
+                                                assign)
         assign[v] = 0
-        with_b = kernels.expected_cut_objective(
-            g.num_vertices, g.eu, g.ev, orientation.heads, p, tv, assign)
+        with_b = kernels.expected_cut_objective(g, orientation.heads, p, tv,
+                                                assign)
         assign[v] = 1 if with_a >= with_b else 0
     return Cut(assign == 1)
 

@@ -1,4 +1,4 @@
-"""Matroid oracles: independence, rank, span, greedy optimization, and
+"""Matroid oracles: independence, rank, greedy optimization, and
 membership in the independent-set polytope.
 
 Elements are integers 0..n-1. Three concrete families are provided (graphic,
@@ -10,6 +10,7 @@ import itertools
 
 import numpy as np
 
+from . import kernels
 from .errors import EnumerationCapError
 
 POLYTOPE_CAP = 20
@@ -56,19 +57,6 @@ class Matroid:
                 picked.append(e)
         return len(picked)
 
-    def span(self, elements):
-        """All elements whose addition leaves the rank unchanged."""
-        elems = self._check_elements(elements)
-        base = self.rank(elems)
-        inside = set(elems)
-        out = set()
-        for i in range(self.n):
-            if i in inside:
-                out.add(i)
-            elif self.rank(elems + [i]) == base:
-                out.add(i)
-        return frozenset(out)
-
     def max_weight_basis(self, weights):
         """Greedy max-weight independent set.
 
@@ -76,14 +64,8 @@ class Matroid:
         lower index; zero-weight items are never taken.
         """
         w = self._check_weights(weights)
-        order = np.argsort(-w, kind="mergesort")
-        picked = []
-        for e in order:
-            if w[e] <= 0.0:
-                continue
-            if self.is_independent(picked + [int(e)]):
-                picked.append(int(e))
-        return tuple(sorted(picked))
+        _, accepted = kernels.mc_max_weight(self, w[None])
+        return tuple(np.flatnonzero(accepted[0]).tolist())
 
     def _check_weights(self, weights):
         w = np.asarray(weights, dtype=float)
@@ -129,8 +111,8 @@ class Matroid:
         return self.polytope_slack(p, max_elements=max_elements) >= -tol
 
     def kernel_args(self):
-        """(kind, num_vertices, eu, ev, block_id, caps) for the numeric
-        kernels, or None when no specialized encoding exists."""
+        """(kind, num_vertices, eu, ev, block_id, caps) for
+        kernels.batched_greedy, or None to have it ask is_independent."""
         return None
 
 
@@ -187,11 +169,6 @@ class GraphicMatroid(Matroid):
                 parent[ru] = rv
                 r += 1
         return r
-
-    def incident(self, v):
-        """Indices of edges touching vertex v."""
-        return tuple(i for i in range(self.n)
-                     if self.eu[i] == v or self.ev[i] == v)
 
     def kernel_args(self):
         return (0, self.num_vertices, self.eu, self.ev,

@@ -7,7 +7,6 @@ polytope (it is a mixture of independent-set indicators) and the priced sum
 upper-bounds the offline expectation.
 """
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -20,7 +19,6 @@ from .errors import EnumerationCapError
 from .matroids import Matroid, POLYTOPE_CAP
 
 DEFAULT_ENUM_CAP = 1 << 20
-MC_BATCH = 1 << 14
 
 
 def resolve_enum_cap(cap=None):
@@ -139,25 +137,8 @@ def _check_outcome_cap(inst, cap):
 
 def _exact_opt_and_membership(inst, cap=None):
     _check_outcome_cap(inst, cap)
-    args = inst.matroid.kernel_args()
-    if args is not None:
-        offsets, values, probs = _support_arrays(inst)
-        opt, p = kernels.exact_reduce(*args, offsets, values, probs)
-        return float(opt), np.asarray(p)
-    # generic oracle path
-    opt = 0.0
-    p = np.zeros(inst.n)
-    for outcome in itertools.product(*(range(d.size) for d in inst.dists)):
-        prob = 1.0
-        w = np.zeros(inst.n)
-        for i, j in enumerate(outcome):
-            prob *= inst.dists[i].probs[j]
-            w[i] = inst.dists[i].values[j]
-        basis = inst.matroid.max_weight_basis(w)
-        opt += prob * sum(w[e] for e in basis)
-        for e in basis:
-            p[e] += prob
-    return opt, p
+    offsets, values, probs = _support_arrays(inst)
+    return kernels.exact_reduce(inst.matroid, offsets, values, probs)
 
 
 def sample_value_matrix(inst, rng, trials):
@@ -170,28 +151,16 @@ def sample_value_matrix(inst, rng, trials):
 
 
 def _mc_opt_and_membership(inst, trials, rng):
-    args = inst.matroid.kernel_args()
     counts = np.zeros(inst.n, dtype=np.int64)
     total = 0.0
     total_sq = 0.0
-    done = 0
-    while done < trials:
-        batch = min(MC_BATCH, trials - done)
-        values = sample_value_matrix(inst, rng, batch)
-        if args is not None:
-            opts, c = kernels.mc_max_weight(*args, values)
-        else:
-            opts = np.empty(batch)
-            c = np.zeros(inst.n, dtype=np.int64)
-            for tr in range(batch):
-                basis = inst.matroid.max_weight_basis(values[tr])
-                opts[tr] = sum(values[tr, e] for e in basis)
-                for e in basis:
-                    c[e] += 1
-        counts += c
+    for done in range(0, trials, kernels.BLOCK):
+        values = sample_value_matrix(inst, rng,
+                                     min(kernels.BLOCK, trials - done))
+        opts, best = kernels.mc_max_weight(inst.matroid, values)
+        counts += best.sum(axis=0)
         total += float(opts.sum())
         total_sq += float(opts @ opts)
-        done += batch
     return total, total_sq, counts
 
 

@@ -100,6 +100,14 @@ def test_blocking_probability_mc_agrees():
         assert approx == pytest.approx(exact, abs=0.01)
 
 
+def test_blocking_probability_mc_needs_trials():
+    g = GraphicMatroid(3, [(0, 1), (1, 2), (0, 2)])
+    for trials in (0, -5):
+        with pytest.raises(ValueError, match="positive trial count"):
+            blocking_probability(g, [0.5, 0.5, 0.5], [0, 1, 2], 0,
+                                 mode="mc", trials=trials)
+
+
 def test_single_edge_cut_bound():
     # lone edge crosses one cut in four; no blocking ever happens
     g = GraphicMatroid(2, [(0, 1)])

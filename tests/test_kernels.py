@@ -1,9 +1,7 @@
-"""Numeric kernels against plain-python oracles, and the backend switch."""
+"""The batched greedy primitive and its enumeration drivers against
+plain-python oracles."""
 
 import itertools
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -12,17 +10,29 @@ from matprophet import (GraphicMatroid, PartitionMatroid, ProphetInstance,
                         ThresholdRule, UniformMatroid, execute_online,
                         kernels)
 from matprophet.generate import random_distribution
+from matprophet.reduction import _support_arrays
 
 rng0 = np.random.default_rng
 
 
+class OpaqueGraphic(GraphicMatroid):
+    """Same matroid, no kernel encoding; forces the oracle fallback."""
+
+    def kernel_args(self):
+        return None
+
+
 def random_matroid(rng):
-    if rng.random() < 0.5:
+    kind = rng.random()
+    if kind < 0.5:
         nv = int(rng.integers(2, 6))
         ne = int(rng.integers(1, 7))
         edges = [tuple(sorted(rng.choice(nv, 2, replace=False).tolist()))
                  for _ in range(ne)]
         return GraphicMatroid(nv, edges)
+    if kind < 0.65:
+        n = int(rng.integers(1, 7))
+        return UniformMatroid(n, int(rng.integers(0, n + 1)))
     nb = int(rng.integers(1, 4))
     sizes = [int(rng.integers(1, 4)) for _ in range(nb)]
     blocks, start = [], 0
@@ -45,18 +55,58 @@ def oracle_greedy(m, order, take, values):
     return total, mask
 
 
-def test_greedy_select_matches_oracle():
+def oracle_max_weight(m, w):
+    return oracle_greedy(m, np.argsort(-w, kind="stable"), w > 0, w)
+
+
+def assert_rows_match(m, orders, take, values, got):
+    totals, accepted = got
+    assert totals.shape == (len(take),)
+    assert accepted.shape == take.shape
+    for r in range(len(take)):
+        want_total, want_mask = oracle_greedy(m, orders[r], take[r], values[r])
+        assert totals[r] == want_total
+        assert np.array_equal(accepted[r], want_mask)
+
+
+def test_batched_greedy_matches_oracle():
     rng = rng0(1)
+    cases = [random_matroid(rng) for _ in range(60)]
+    cases += [GraphicMatroid(3, []), GraphicMatroid(0, []),
+              UniformMatroid(0, 0), UniformMatroid(5, 2)]
+    rows = 12
+    for m in cases:
+        take = rng.random((rows, m.n)) < 0.6
+        values = np.round(rng.random((rows, m.n)) * 5, 3)
+        values[rng.random((rows, m.n)) < 0.2] = 0.0
+        shared = rng.permutation(m.n)
+        per_row = np.array([rng.permutation(m.n) for _ in range(rows)],
+                           dtype=np.int64).reshape(rows, m.n)
+        k = int(rng.integers(0, m.n + 1))
+        for order in (shared, per_row, shared[:k], per_row[:, :k]):
+            orders = np.broadcast_to(order, (rows, order.shape[-1]))
+            got = kernels.batched_greedy(m, order, take, values)
+            assert_rows_match(m, orders, take, values, got)
+            if isinstance(m, GraphicMatroid):
+                opaque = OpaqueGraphic(m.num_vertices, m.edges)
+                slow = kernels.batched_greedy(opaque, order, take, values)
+                assert np.array_equal(slow[0], got[0])
+                assert np.array_equal(slow[1], got[1])
+
+
+def test_greedy_select_matches_oracle():
+    """A single row, as execute_online passes it."""
+    rng = rng0(8)
     for _ in range(80):
         m = random_matroid(rng)
-        args = m.kernel_args()
         order = rng.permutation(m.n).astype(np.int64)
         take = rng.random(m.n) < 0.6
         values = np.round(rng.random(m.n) * 5, 3)
-        total, mask = kernels.greedy_select(*args, order, take, values)
+        totals, accepted = kernels.batched_greedy(m, order, take[None],
+                                                  values[None])
         want_total, want_mask = oracle_greedy(m, order, take, values)
-        assert total == pytest.approx(want_total, abs=1e-12)
-        assert mask.tolist() == want_mask.tolist()
+        assert totals.tolist() == [want_total]
+        assert accepted[0].tolist() == want_mask.tolist()
 
 
 def test_max_weight_select_matches_oracle():
@@ -65,10 +115,58 @@ def test_max_weight_select_matches_oracle():
         m = random_matroid(rng)
         w = np.round(rng.random(m.n) * 5, 3)
         w[rng.random(m.n) < 0.3] = 0.0
-        total, mask = kernels.max_weight_select(*m.kernel_args(), w)
-        basis = m.max_weight_basis(w)
-        assert total == pytest.approx(sum(w[e] for e in basis), abs=1e-12)
-        assert sorted(np.flatnonzero(mask)) == sorted(basis)
+        _, want_mask = oracle_max_weight(m, w)
+        assert m.max_weight_basis(w) == tuple(np.flatnonzero(want_mask))
+
+
+def test_mc_online_matches_execute_online():
+    rng = rng0(6)
+    for _ in range(10):
+        m = random_matroid(rng)
+        dists = [random_distribution(rng) for _ in range(m.n)]
+        inst = ProphetInstance(m, dists)
+        thr = np.array([float(d.values[rng.integers(d.size)])
+                        for d in dists])
+        atom = np.round(rng.random(m.n), 2)
+        order = rng.permutation(m.n).astype(np.int64)
+        trials = 40
+        values = np.stack([np.array([d.sample(rng) for d in dists])
+                           for _ in range(trials)])
+        coins = rng.random((trials, m.n))
+        consider = rng.random((trials, m.n)) < 0.8
+        got, acc = kernels.mc_online_graphic(m, order, thr, atom, values,
+                                             coins, consider)
+        for tr in range(trials):
+            masked_thr = np.where(consider[tr], thr, np.inf)
+            rep = execute_online(inst, ThresholdRule(masked_thr, atom),
+                                 order, values[tr], atom_coins=coins[tr])
+            assert got[tr] == rep.alg_value
+            assert sorted(np.flatnonzero(acc[tr])) == sorted(rep.accepted)
+
+
+def test_mc_max_weight_matches_oracle():
+    """Decreasing weight, ties to the lower index, zero weights left out."""
+    rng = rng0(7)
+    for _ in range(20):
+        m = random_matroid(rng)
+        values = np.round(rng.random((30, m.n)) * 5, 3)
+        values[rng.random((30, m.n)) < 0.2] = 0.0
+        totals, accepted = kernels.mc_max_weight(m, values)
+        want_counts = np.zeros(m.n, dtype=int)
+        for tr in range(30):
+            want_total, want_mask = oracle_max_weight(m, values[tr])
+            assert totals[tr] == want_total
+            assert accepted[tr].tolist() == want_mask.tolist()
+            want_counts += want_mask
+        assert accepted.sum(axis=0).tolist() == want_counts.tolist()
+
+
+def test_uniform_matroid_is_single_block():
+    m = UniformMatroid(5, 2)
+    totals, accepted = kernels.mc_max_weight(
+        m, np.array([[3.0, 1.0, 2.0, 0.0, 2.5]]))
+    assert totals.tolist() == [5.5]
+    assert np.flatnonzero(accepted[0]).tolist() == [0, 4]
 
 
 def test_exact_reduce_matches_bruteforce():
@@ -78,20 +176,17 @@ def test_exact_reduce_matches_bruteforce():
         dists = [random_distribution(rng, support_size=int(rng.integers(1, 4)))
                  for _ in range(m.n)]
         inst = ProphetInstance(m, dists)
-        from matprophet.reduction import _support_arrays
         offsets, sup_values, sup_probs = _support_arrays(inst)
-        opt, p = kernels.exact_reduce(*m.kernel_args(), offsets, sup_values,
-                                      sup_probs)
+        opt, p = kernels.exact_reduce(m, offsets, sup_values, sup_probs)
         want_opt = 0.0
         want_p = np.zeros(m.n)
         supports = [list(zip(d.values, d.probs)) for d in dists]
         for combo in itertools.product(*supports):
-            w = [v for v, _ in combo]
+            w = np.array([v for v, _ in combo])
             pr = float(np.prod([q for _, q in combo]))
-            basis = m.max_weight_basis(w)
-            want_opt += pr * sum(w[e] for e in basis)
-            for e in basis:
-                want_p[e] += pr
+            total, mask = oracle_max_weight(m, w)
+            want_opt += pr * total
+            want_p[mask] += pr
         assert opt == pytest.approx(want_opt, abs=1e-9)
         assert p == pytest.approx(want_p, abs=1e-9)
 
@@ -105,7 +200,7 @@ def test_rule_value_exact_matches_pattern_enumeration():
         tau = np.round(rng.random(m.n) * 4, 3)
         order = rng.permutation(m.n).astype(np.int64)
         cons = np.array([e for e in order if r[e] > 0], dtype=np.int64)
-        got = kernels.rule_value_exact(*m.kernel_args(), cons, r, tau, order)
+        got = kernels.rule_value_exact(m, cons, r, tau)
         want = 0.0
         for bits in itertools.product([False, True], repeat=cons.size):
             prob = 1.0
@@ -127,12 +222,12 @@ def test_connect_probability_matches_bruteforce():
                  for _ in range(ne)]
         g = GraphicMatroid(nv, edges)
         probs = np.round(rng.random(g.n), 3)
+        target = int(rng.integers(g.n))
+        rest = [e for e in range(g.n) if e != target]
         members = np.array(sorted(
-            rng.choice(g.n, int(rng.integers(0, g.n + 1)), replace=False)),
-            dtype=np.int64)
-        tu, tv = rng.choice(nv, 2, replace=False)
-        got = kernels.connect_probability(nv, g.eu, g.ev, members, probs,
-                                          int(tu), int(tv))
+            rng.choice(rest, int(rng.integers(0, len(rest) + 1)),
+                       replace=False)), dtype=np.int64)
+        got = kernels.connect_probability(g, members, probs, target)
         want = 0.0
         for bits in itertools.product([False, True], repeat=members.size):
             pr = 1.0
@@ -153,80 +248,6 @@ def test_connect_probability_matches_bruteforce():
                 ru, rv = find(int(g.eu[e])), find(int(g.ev[e]))
                 if ru != rv:
                     parent[ru] = rv
-            if find(int(tu)) == find(int(tv)):
+            if find(int(g.eu[target])) == find(int(g.ev[target])):
                 want += pr
         assert got == pytest.approx(want, abs=1e-12)
-
-
-def test_mc_online_matches_execute_online():
-    rng = rng0(6)
-    for _ in range(10):
-        m = random_matroid(rng)
-        dists = [random_distribution(rng) for _ in range(m.n)]
-        inst = ProphetInstance(m, dists)
-        thr = np.array([float(d.values[rng.integers(d.size)])
-                        for d in dists])
-        atom = np.round(rng.random(m.n), 2)
-        rule = ThresholdRule(thr, atom)
-        order = rng.permutation(m.n).astype(np.int64)
-        trials = 40
-        values = np.stack([np.array([d.sample(rng) for d in dists])
-                           for _ in range(trials)])
-        coins = rng.random((trials, m.n))
-        consider = rng.random((trials, m.n)) < 0.8
-        kind, nv, eu, ev, block_id, caps = m.kernel_args()
-        if kind == kernels.KIND_GRAPHIC:
-            got, acc = kernels.mc_online_graphic(
-                nv, eu, ev, order, thr, atom, values, coins, consider)
-        else:
-            got, acc = kernels.mc_online_partition(
-                block_id, caps, order, thr, atom, values, coins, consider)
-        for tr in range(trials):
-            masked_thr = np.where(consider[tr], thr, np.inf)
-            rep = execute_online(inst, ThresholdRule(masked_thr, atom),
-                                 order, values[tr], atom_coins=coins[tr])
-            assert got[tr] == pytest.approx(rep.alg_value, abs=1e-12)
-            assert sorted(np.flatnonzero(acc[tr])) == sorted(rep.accepted)
-
-
-def test_mc_max_weight_matches_oracle():
-    rng = rng0(7)
-    m = random_matroid(rng)
-    values = np.round(rng.random((30, m.n)) * 5, 3)
-    out, counts = kernels.mc_max_weight(*m.kernel_args(), values)
-    want_counts = np.zeros(m.n, dtype=int)
-    for tr in range(30):
-        basis = m.max_weight_basis(values[tr])
-        assert out[tr] == pytest.approx(
-            sum(values[tr][e] for e in basis), abs=1e-12)
-        for e in basis:
-            want_counts[e] += 1
-    assert counts.tolist() == want_counts.tolist()
-
-
-def test_uniform_matroid_is_single_block():
-    m = UniformMatroid(5, 2)
-    w = np.array([3.0, 1.0, 2.0, 0.0, 2.5])
-    total, mask = kernels.max_weight_select(*m.kernel_args(), w)
-    assert total == pytest.approx(5.5)
-    assert np.flatnonzero(mask).tolist() == [0, 4]
-
-
-def test_python_backend_subprocess():
-    """The env switch must select the interpreted backend and reproduce the
-    numba results exactly."""
-    code = (
-        "import os, numpy as np\n"
-        "import matprophet\n"
-        "from matprophet import kernels\n"
-        "assert matprophet.BACKEND == 'python', matprophet.BACKEND\n"
-        "m = matprophet.GraphicMatroid(3, [(0, 1), (1, 2), (0, 2)])\n"
-        "w = np.array([2.0, 2.0, 1.0])\n"
-        "total, mask = kernels.max_weight_select(*m.kernel_args(), w)\n"
-        "print(repr(float(total)), mask.tolist())\n"
-    )
-    env = dict(os.environ, MATPROPHET_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "4.0 [True, True, False]"

@@ -1,4 +1,4 @@
-"""Matroid oracles: axioms, ranks, spans, bases, polytope membership."""
+"""Matroid oracles: axioms, ranks, bases, polytope membership."""
 
 import itertools
 
@@ -78,9 +78,6 @@ def test_graphic_rank_and_span():
     assert m.rank([0]) == 1
     assert m.rank([0, 1]) == 2
     assert m.rank([0, 1, 2]) == 2
-    # two sides of a triangle span the third
-    assert m.span([0, 1]) == frozenset({0, 1, 2})
-    assert m.span([0]) == frozenset({0})
 
 
 def test_partition_validation():
@@ -98,7 +95,6 @@ def test_uniform_rank():
     assert m.rank([0, 1, 2]) == 2
     assert m.is_independent([1, 3])
     assert not m.is_independent([0, 1, 2])
-    assert m.span([0, 1]) == frozenset(range(4))
 
 
 def test_max_weight_basis_ties_and_zeros():
