@@ -151,14 +151,16 @@ def partition_thresholds(inst, method="probabilistic", cap=None):
 
 
 class BaselineAlgorithm(FixedRuleAlgorithm):
-    def __init__(self, inst, rule, name, info):
-        super().__init__(inst, rule)
+    def __init__(self, inst, rule, name, info, reduction=None):
+        super().__init__(inst, rule, reduction)
         self.name = name
         self.info = info
 
 
-def make_baseline(inst, name, cap=None):
-    """Build a baseline by CLI name."""
+def make_baseline(inst, name, cap=None, reduction=None):
+    """Build a baseline by CLI name. `reduction` is the ex-ante reduction
+    its worst-case order comes from (by default the exact one, computed
+    when first read)."""
     if name == "samuel-cahn":
         if not isinstance(inst.matroid, UniformMatroid) or inst.matroid.k != 1:
             raise ValueError("samuel-cahn runs on 1-uniform instances")
@@ -170,7 +172,7 @@ def make_baseline(inst, name, cap=None):
     elif name in ("partition", "partition-prob", "partition-optfrac"):
         method = "opt-fraction" if name.endswith("optfrac") else "probabilistic"
         rule, per_block = partition_thresholds(inst, method, cap=cap)
-        return BaselineAlgorithm(inst, rule, name, per_block)
+        return BaselineAlgorithm(inst, rule, name, per_block, reduction)
     else:
         raise ValueError(f"unknown baseline {name!r}")
-    return BaselineAlgorithm(inst, ut.to_rule(inst.n), name, ut)
+    return BaselineAlgorithm(inst, ut.to_rule(inst.n), name, ut, reduction)

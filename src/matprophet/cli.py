@@ -22,12 +22,12 @@ from .generate import random_dists, random_graph
 from .graphic import (GraphicDerandomizedCut, GraphicRandomCut,
                       blocking_probability, consideration_set,
                       cut_bound_exact, cut_objective, derandomize_cut,
-                      orient_low_indegree, sample_cut)
+                      sample_cut)
 from .io import load_instance, save_instance
 from .matroids import (GraphicMatroid, PartitionMatroid, UniformMatroid,
-                       POLYTOPE_CAP, scale)
+                       POLYTOPE_CAP)
 from .reduction import (ProphetInstance, ex_ante_reduce, prophet_value_exact,
-                        prophet_value_mc, worst_case_order)
+                        worst_case_order)
 
 GRAPHIC_ALGOS = ("graphic-random-cut", "graphic-derandomized")
 BASELINE_ALGOS = ("samuel-cahn", "kuniform-prob", "kuniform-optfrac",
@@ -50,7 +50,9 @@ def make_algorithm(inst, name, mode="exact", trials=100_000, seed=0,
         return GraphicDerandomizedCut(inst, mode=mode, reduce_trials=trials,
                                       seed=seed, cap=cap)
     if name in BASELINE_ALGOS:
-        return make_baseline(inst, name, cap=cap)
+        red = ex_ante_reduce(inst, mode=mode, trials=trials, seed=seed,
+                             cap=cap)
+        return make_baseline(inst, name, cap=cap, reduction=red)
     raise ValueError(f"unknown algorithm {name!r}")
 
 
@@ -120,6 +122,9 @@ def cmd_run(args):
         if order_policy == "random":
             raise ValueError("exact mode needs the worst-case order")
         alg_value = expected_value_exact(inst, algo, cap=args.cap)
+        # a second enumeration of the same outcomes (algo.reduction holds
+        # this value): perfbench's host sampler cannot yet time an exact-run
+        # operation shorter than its 50 ms period (ROADMAP item 2)
         opt = prophet_value_exact(inst, cap=args.cap)
         ratio, degenerate = safe_ratio(alg_value, opt)
         summary.update(alg_value=alg_value, prophet_value=opt, ratio=ratio,
@@ -144,12 +149,11 @@ def cmd_run(args):
                          _fmt(alg_vals[tr]), _fmt(pro_vals[tr]), _fmt(r),
                          acc, "1" if dg else "0"))
 
-    red = getattr(algo, "reduction", None)
-    if red is not None:
-        summary["p"] = red.p.tolist()
-        summary["t"] = red.t.tolist()
-        summary["priced_bound"] = red.bound()
-        summary["feasibility_slack"] = red.feasibility_slack
+    red = algo.reduction
+    summary["p"] = red.p.tolist()
+    summary["t"] = red.t.tolist()
+    summary["priced_bound"] = red.bound()
+    summary["feasibility_slack"] = red.feasibility_slack
     if args.algo in GRAPHIC_ALGOS:
         design = algo.design
         o = design.orientation
@@ -162,7 +166,7 @@ def cmd_run(args):
             cut = sample_cut(inst.matroid, np.random.default_rng(args.seed))
         summary["cut_side_a"] = sorted(cut.side_a)
         summary["considered"] = consideration_set(o, cut).tolist()
-    elif hasattr(algo, "info"):
+    else:
         info = algo.info
         if isinstance(info, list):
             summary["block_thresholds"] = [
@@ -196,13 +200,10 @@ def cmd_reduce(args):
         "priced_bound": red.bound(),
         "feasibility_slack": red.feasibility_slack,
         "worst_case_order": worst_case_order(red.t).tolist(),
+        "prophet_value": red.prophet_value,
     }
-    if args.mode == "exact":
-        doc["prophet_value"] = prophet_value_exact(inst, cap=args.cap)
-    else:
-        est = prophet_value_mc(inst, trials=args.trials, seed=args.seed)
-        doc["prophet_value"] = est.mean
-        doc["prophet_value_stderr"] = est.stderr
+    if args.mode == "mc":
+        doc["prophet_value_stderr"] = red.prophet_stderr
     _emit(doc, args.out)
     return 0
 
@@ -212,14 +213,13 @@ def cmd_orient(args):
     inst = loaded.instance
     if not isinstance(inst.matroid, GraphicMatroid):
         raise ValueError("orient needs a graphic instance")
-    red = ex_ante_reduce(inst, mode=args.mode, trials=args.trials,
-                         seed=args.seed, cap=args.cap)
-    p_scaled = scale(red.p, 0.25)
-    o = orient_low_indegree(inst.matroid, p_scaled)
-    in_mass = o.in_mass(p_scaled)
+    design = GraphicRandomCut(inst, mode=args.mode, reduce_trials=args.trials,
+                              seed=args.seed, cap=args.cap).design
+    o = design.orientation
+    in_mass = o.in_mass(design.p_scaled)
     doc = {
-        "p": red.p.tolist(),
-        "p_scaled": p_scaled.tolist(),
+        "p": design.reduction.p.tolist(),
+        "p_scaled": design.p_scaled.tolist(),
         "heads": o.heads.tolist(),
         "tails": o.tails.tolist(),
         "in_mass": in_mass.tolist(),
@@ -245,8 +245,11 @@ def _verify_instance(loaded, cap):
     tol = 1e-9
     mass_tol = 1e-12
 
-    red = ex_ante_reduce(inst, cap=cap)
-    opt = prophet_value_exact(inst, cap=cap)
+    graphic = isinstance(inst.matroid, GraphicMatroid)
+    # one design serves the graphic checks and the online value
+    algo = GraphicRandomCut(inst, cap=cap) if graphic else None
+    red = algo.reduction if graphic else ex_ante_reduce(inst, cap=cap)
+    opt = red.prophet_value
 
     if loaded.is_bernoulli:
         slack = inst.matroid.polytope_slack(loaded.declared_p) \
@@ -259,10 +262,9 @@ def _verify_instance(loaded, cap):
     bench_slack = red.bound() - opt
     yield ("benchmark-bound", bench_slack >= -tol, bench_slack, "")
 
-    if isinstance(inst.matroid, GraphicMatroid):
+    if graphic:
         g = inst.matroid
-        p_scaled = scale(red.p, 0.25)
-        o = orient_low_indegree(g, p_scaled)
+        p_scaled, o = algo.design.p_scaled, algo.design.orientation
         in_mass = o.in_mass(p_scaled)
         worst = float(in_mass.max()) if in_mass.size else 0.0
         yield ("orientation-mass", worst <= 0.5 + mass_tol, 0.5 - worst, "")
@@ -289,7 +291,6 @@ def _verify_instance(loaded, cap):
         yield ("derandomized-cut", best_obj >= bound - tol, best_obj - bound,
                "")
 
-        algo = GraphicRandomCut(inst, cap=cap)
         alg_value = expected_value_exact(inst, algo, cap=cap)
         target = opt / 32.0
         yield ("online-value", alg_value >= target - tol, alg_value - target,
@@ -299,7 +300,7 @@ def _verify_instance(loaded, cap):
         for algo_name in (("kuniform-prob", "kuniform-optfrac")
                           if isinstance(inst.matroid, UniformMatroid)
                           else ("partition", "partition-optfrac")):
-            algo = make_baseline(inst, algo_name, cap=cap)
+            algo = make_baseline(inst, algo_name, cap=cap, reduction=red)
             val = expected_value_exact(inst, algo, cap=cap)
             slack = val - opt / 2.0
             yield (f"baseline-half[{algo_name}]", slack >= -tol, slack, "")

@@ -36,8 +36,10 @@ class ThresholdRule:
         ap = np.asarray(self.atom_pass, dtype=float)
         if thr.shape != ap.shape or thr.ndim != 1:
             raise ValueError("thresholds and atom_pass must match in shape")
-        if np.any(np.isnan(thr)):
-            raise ValueError("thresholds must not be NaN")
+        # an infinite threshold closes its item (pass_profile prices it at
+        # zero), so -inf would pass in simulation but not in exact mode
+        if np.any(np.isnan(thr)) or np.any(thr == -np.inf):
+            raise ValueError("thresholds must not be NaN or -inf")
         if np.any(ap < 0) or np.any(ap > 1):
             raise ValueError("atom pass probabilities must lie in [0, 1]")
         thr.flags.writeable = False
@@ -53,6 +55,12 @@ class ThresholdRule:
         values = np.asarray(values, dtype=float)
         at = values == self.thresholds
         return (values > self.thresholds) | (at & (coins < self.atom_pass))
+
+    def opened_on(self, consider):
+        """This rule on the considered items; every other item gets an
+        infinite threshold and never passes."""
+        return ThresholdRule(np.where(consider, self.thresholds, np.inf),
+                             np.where(consider, self.atom_pass, 0.0))
 
 
 @dataclass(frozen=True)
@@ -102,27 +110,34 @@ def safe_ratio(alg, opt):
 
 
 class FixedRuleAlgorithm:
-    """Adapter presenting one fixed rule as a (trivially) randomized builder."""
+    """A non-adaptive algorithm: one base rule, fixed before any arrival,
+    opened on a considered set of items (`ThresholdRule.opened_on`).
 
-    def __init__(self, instance, rule):
+    The only randomness is which items are considered. This class considers
+    every item; a randomized algorithm overrides `consider_matrix` (Monte
+    Carlo draws) and `consider_distribution` (exact mode). `reduction` is
+    the ex-ante reduction the worst-case order comes from; without one, the
+    instance is reduced exactly when it is first read.
+    """
+
+    def __init__(self, instance, rule, reduction=None):
         if rule.n != instance.n:
             raise ValueError("rule size does not match the instance")
         self.instance = instance
         self.rule = rule
-        self._reduction = None
-
-    def rule_distribution(self):
-        return [(1.0, self.rule)]
-
-    def build(self, rng):
-        return self.rule
+        self._reduction = reduction
 
     def consider_matrix(self, rng, trials):
-        r, _ = rule_pass_profile(self.instance, self.rule)
-        return np.broadcast_to(r > 0, (trials, self.instance.n)).copy()
+        """(trials, n) boolean masks of considered items, drawn from rng."""
+        return np.ones((trials, self.instance.n), dtype=bool)
 
-    def mc_rule_arrays(self):
-        return self.rule.thresholds, self.rule.atom_pass
+    def consider_distribution(self):
+        """Yield (probability, considered-item mask) pairs, one at a time."""
+        yield 1.0, np.ones(self.instance.n, dtype=bool)
+
+    def build(self, rng):
+        """The rule of one draw of the considered set."""
+        return self.rule.opened_on(self.consider_matrix(rng, 1)[0])
 
     @property
     def reduction(self):
@@ -184,11 +199,8 @@ def resolve_order(inst, order, algo=None, rng=None):
         return order
     if isinstance(order, str):
         if order == "worst_case":
-            if algo is not None and getattr(algo, "reduction", None) is not None:
-                t = algo.reduction.t
-            else:
-                t = ex_ante_reduce(inst).t
-            return ArrivalOrder(worst_case_order(t), "worst-case")
+            red = algo.reduction if algo is not None else ex_ante_reduce(inst)
+            return ArrivalOrder(worst_case_order(red.t), "worst-case")
         if order == "random":
             if rng is None:
                 raise ValueError("random order needs an rng")
@@ -198,14 +210,14 @@ def resolve_order(inst, order, algo=None, rng=None):
 
 
 def expected_value_exact(inst, algo, order="worst_case", cap=None):
-    """Exact expected online value, averaging over the algorithm's own
-    randomness (e.g. its cut) and all pass patterns."""
+    """Exact expected online value, averaging over the algorithm's
+    considered sets (e.g. the crossing edges of every cut) and all pass
+    patterns."""
     order = resolve_order(inst, order, algo)
     total = 0.0
-    for prob, rule in algo.rule_distribution():
-        if prob == 0.0:
-            continue
-        total += prob * expected_rule_value(inst, rule, order, cap)
+    for prob, consider in algo.consider_distribution():
+        total += prob * expected_rule_value(inst, algo.rule.opened_on(consider),
+                                            order, cap)
     return total
 
 
@@ -231,42 +243,40 @@ def _ratio_summary(alg_vals, pro_vals, level, trials):
                         degenerate, low)
 
 
-def _draw_trials(inst, algo, seed, trial_ids, fixed_order):
+def _draw_trials(inst, algo, seed, trial_ids):
     """Trial tr draws from SeedSequence((seed, tr)), in this order: its
-    rule (e.g. a cut), values, atom coins, and, without a fixed order, an
-    arrival permutation. Returns the per-trial rows (perm, thresholds,
-    atom_pass, values, coins)."""
+    considered set (e.g. a cut), values, atom coins and an arrival
+    permutation. Returns the per-trial rows (perm, consider, values,
+    coins)."""
     rows = (len(trial_ids), inst.n)
     perm = np.empty(rows, dtype=np.int64)
-    thr, atom, values, coins = (np.empty(rows) for _ in range(4))
+    consider = np.empty(rows, dtype=bool)
+    values, coins = np.empty(rows), np.empty(rows)
     for r, tr in enumerate(trial_ids):
         trial_rng = np.random.default_rng(np.random.SeedSequence((seed, tr)))
-        rule = algo.build(trial_rng)
-        thr[r], atom[r] = rule.thresholds, rule.atom_pass
+        consider[r] = algo.consider_matrix(trial_rng, 1)[0]
         values[r] = sample_value_matrix(inst, trial_rng, 1)[0]
         coins[r] = trial_rng.random(inst.n)
-        perm[r] = fixed_order.perm if fixed_order is not None else \
-            trial_rng.permutation(inst.n)
-    return perm, thr, atom, values, coins
+        perm[r] = trial_rng.permutation(inst.n)
+    return perm, consider, values, coins
 
 
 def monte_carlo_ratio(inst, algo, trials, seed=0, order="worst_case",
                       level=0.99, return_trials=False):
     """Paired Monte Carlo estimate of online value / offline value.
 
-    Re-draws the algorithm's builder randomness every trial. The half-width
-    is a normal approximation for the ratio of paired means.
+    Re-draws the algorithm's considered set every trial. The half-width is
+    a normal approximation for the ratio of paired means.
     """
     if trials <= 0:
         raise ValueError("need a positive trial count")
     rng = np.random.default_rng(seed)
-    fixed_order = None
-    if not (isinstance(order, str) and order == "random"):
-        fixed_order = resolve_order(inst, order, algo)
-    # a random order, or a builder without batch arrays, draws every trial
-    # from its own stream; otherwise whole blocks come from one stream
-    per_trial = fixed_order is None or not (
-        hasattr(algo, "consider_matrix") and hasattr(algo, "mc_rule_arrays"))
+    # a random order draws every trial from its own stream; a fixed order
+    # draws whole blocks from one stream
+    per_trial = isinstance(order, str) and order == "random"
+    if not per_trial:
+        perm = resolve_order(inst, order, algo).perm
+    thr, atom = algo.rule.thresholds, algo.rule.atom_pass
     alg_vals = np.empty(trials)
     pro_vals = np.empty(trials)
     accepted = np.zeros((trials, inst.n), dtype=bool) if return_trials \
@@ -277,12 +287,9 @@ def monte_carlo_ratio(inst, algo, trials, seed=0, order="worst_case",
     for done in range(0, trials, step):
         batch = min(step, trials - done)
         if per_trial:
-            perm, thr, atom, values, coins = _draw_trials(
-                inst, algo, seed, range(done, done + batch), fixed_order)
-            consider = True
+            perm, consider, values, coins = _draw_trials(
+                inst, algo, seed, range(done, done + batch))
         else:
-            perm = fixed_order.perm
-            thr, atom = algo.mc_rule_arrays()
             values = sample_value_matrix(inst, rng, batch)
             coins = rng.random((batch, inst.n))
             consider = algo.consider_matrix(rng, batch)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .engine import ThresholdRule
+from .engine import FixedRuleAlgorithm, ThresholdRule
 from .errors import EnumerationCapError
 from .matroids import GraphicMatroid, scale
 from .reduction import ex_ante_reduce, resolve_enum_cap
@@ -38,6 +38,12 @@ class Orientation:
 
     def incoming(self, v):
         return tuple(int(i) for i in np.flatnonzero(self.heads == v))
+
+    def crossing(self, in_a):
+        """Mask of the edges crossing from side A (tail) to side B (head),
+        for one side-A indicator per vertex or a stack of them."""
+        in_a = np.asarray(in_a, dtype=bool)
+        return in_a[..., self.tails] & ~in_a[..., self.heads]
 
     def outgoing(self, v):
         return tuple(int(i) for i in np.flatnonzero(self.tails == v))
@@ -105,9 +111,7 @@ def sample_cut(g, rng):
 
 def consideration_set(orientation, cut):
     """Edges crossing the cut in the tail(A) -> head(B) direction."""
-    tails = orientation.tails
-    cross = cut.in_a[tails] & ~cut.in_a[orientation.heads]
-    return np.flatnonzero(cross).astype(np.int64)
+    return np.flatnonzero(orientation.crossing(cut.in_a)).astype(np.int64)
 
 
 def blocking_probability(g, probs, subset, i, mode="exact", trials=10_000,
@@ -181,21 +185,16 @@ def derandomize_cut(g, p_scaled, t, orientation):
 
 @dataclass(frozen=True, eq=False)
 class RandomCutDesign:
-    """Everything the pipeline fixes before any cut is drawn."""
+    """Everything the pipeline fixes before any cut is drawn; `rule` holds
+    the quantile thresholds of every edge."""
 
     reduction: object
     p_scaled: np.ndarray
     orientation: Orientation
-    base_thresholds: np.ndarray
-    base_atom_pass: np.ndarray
+    rule: ThresholdRule
 
-    def rule_for_cut(self, cut, g):
-        considered = consideration_set(self.orientation, cut)
-        thr = np.full(g.n, np.inf)
-        atom = np.zeros(g.n)
-        thr[considered] = self.base_thresholds[considered]
-        atom[considered] = self.base_atom_pass[considered]
-        return ThresholdRule(thr, atom)
+    def rule_for_cut(self, cut):
+        return self.rule.opened_on(self.orientation.crossing(cut.in_a))
 
 
 def _design(inst, mode, reduce_trials, seed, cap):
@@ -205,17 +204,17 @@ def _design(inst, mode, reduce_trials, seed, cap):
     red = ex_ante_reduce(inst, mode=mode, trials=reduce_trials, seed=seed,
                          cap=cap)
     p_scaled = scale(red.p, 0.25)
+    p_scaled.flags.writeable = False
     orientation = orient_low_indegree(g, p_scaled)
     thr = np.empty(g.n)
     atom = np.empty(g.n)
     for i, d in enumerate(inst.dists):
         thr[i], atom[i] = d.quantile_threshold(p_scaled[i])
-    for arr in (p_scaled, thr, atom):
-        arr.flags.writeable = False
-    return RandomCutDesign(red, p_scaled, orientation, thr, atom)
+    return RandomCutDesign(red, p_scaled, orientation,
+                           ThresholdRule(thr, atom))
 
 
-class GraphicRandomCut:
+class GraphicRandomCut(FixedRuleAlgorithm):
     """Threshold algorithm: quantile thresholds at a quarter of the ex-ante
     probabilities, opened only on edges crossing a fresh uniform cut."""
 
@@ -223,71 +222,39 @@ class GraphicRandomCut:
 
     def __init__(self, inst, mode="exact", reduce_trials=100_000, seed=0,
                  cap=None):
-        self.instance = inst
         self.design = _design(inst, mode, reduce_trials, seed, cap)
+        super().__init__(inst, self.design.rule, self.design.reduction)
         self._cap = cap
 
-    @property
-    def reduction(self):
-        return self.design.reduction
-
-    def build(self, rng):
-        cut = sample_cut(self.instance.matroid, rng)
-        return self.design.rule_for_cut(cut, self.instance.matroid)
-
-    def rule_distribution(self):
-        g = self.instance.matroid
-        limit = resolve_enum_cap(self._cap)
-        if 2 ** g.num_vertices > limit:
-            raise EnumerationCapError(
-                f"2^{g.num_vertices} cuts exceed the enumeration cap {limit}")
-        weight = 0.5 ** g.num_vertices
-        for mask in range(1 << g.num_vertices):
-            bits = (mask >> np.arange(g.num_vertices)) & 1
-            cut = Cut(bits.astype(bool))
-            yield weight, self.design.rule_for_cut(cut, g)
-
     def consider_matrix(self, rng, trials):
-        g = self.instance.matroid
-        in_a = rng.random((trials, g.num_vertices)) < 0.5
-        tails = self.design.orientation.tails
-        heads = self.design.orientation.heads
-        return in_a[:, tails] & ~in_a[:, heads]
+        in_a = rng.random((trials, self.instance.matroid.num_vertices)) < 0.5
+        return self.design.orientation.crossing(in_a)
 
-    def mc_rule_arrays(self):
-        return self.design.base_thresholds, self.design.base_atom_pass
+    def consider_distribution(self):
+        nv = self.instance.matroid.num_vertices
+        limit = resolve_enum_cap(self._cap)
+        if 2 ** nv > limit:
+            raise EnumerationCapError(
+                f"2^{nv} cuts exceed the enumeration cap {limit}")
+        weight = 0.5 ** nv
+        for mask in range(1 << nv):
+            in_a = (mask >> np.arange(nv)) & 1 == 1
+            yield weight, self.design.orientation.crossing(in_a)
 
 
-class GraphicDerandomizedCut:
+class GraphicDerandomizedCut(FixedRuleAlgorithm):
     """Same construction with the cut chosen by conditional expectations."""
 
     name = "graphic-derandomized"
 
     def __init__(self, inst, mode="exact", reduce_trials=100_000, seed=0,
                  cap=None):
-        self.instance = inst
         self.design = _design(inst, mode, reduce_trials, seed, cap)
-        g = inst.matroid
-        self.cut = derandomize_cut(g, self.design.p_scaled, self.design.reduction.t,
+        self.cut = derandomize_cut(inst.matroid, self.design.p_scaled,
+                                   self.design.reduction.t,
                                    self.design.orientation)
-        self.rule = self.design.rule_for_cut(self.cut, g)
-
-    @property
-    def reduction(self):
-        return self.design.reduction
-
-    def build(self, rng):
-        return self.rule
-
-    def rule_distribution(self):
-        return [(1.0, self.rule)]
-
-    def consider_matrix(self, rng, trials):
-        row = np.isfinite(self.rule.thresholds)
-        return np.broadcast_to(row, (trials, row.size)).copy()
-
-    def mc_rule_arrays(self):
-        return self.rule.thresholds, self.rule.atom_pass
+        super().__init__(inst, self.design.rule_for_cut(self.cut),
+                         self.design.reduction)
 
 
 def build_thresholds(inst, rng, mode="exact", reduce_trials=100_000, seed=0,
@@ -296,7 +263,7 @@ def build_thresholds(inst, rng, mode="exact", reduce_trials=100_000, seed=0,
     algo = GraphicRandomCut(inst, mode=mode, reduce_trials=reduce_trials,
                             seed=seed, cap=cap)
     cut = sample_cut(inst.matroid, rng)
-    rule = algo.design.rule_for_cut(cut, inst.matroid)
+    rule = algo.design.rule_for_cut(cut)
     considered = consideration_set(algo.design.orientation, cut)
     return rule, {
         "design": algo.design,

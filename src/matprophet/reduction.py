@@ -10,6 +10,7 @@ upper-bounds the offline expectation.
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,10 +93,21 @@ class BernoulliInstance:
 
 @dataclass(frozen=True)
 class ReductionResult:
+    """The ex-ante form, plus the prophet value its enumeration or sampling
+    measured on the way (stderr only in mc mode)."""
+
     instance: BernoulliInstance
     mode: str
     trials: int
-    feasibility_slack: float | None
+    prophet_value: float
+    prophet_stderr: float | None
+
+    @cached_property
+    def feasibility_slack(self):
+        """Matroid-polytope slack of p; None above POLYTOPE_CAP items."""
+        if self.instance.n > POLYTOPE_CAP:
+            return None
+        return self.instance.matroid.polytope_slack(self.p)
 
     @property
     def p(self):
@@ -150,7 +162,11 @@ def sample_value_matrix(inst, rng, trials):
     return out
 
 
-def _mc_opt_and_membership(inst, trials, rng):
+def _mc_opt_and_membership(inst, trials, seed):
+    """(prophet value estimate, membership counts) over `trials` draws."""
+    if trials <= 0:
+        raise ValueError("need a positive trial count")
+    rng = np.random.default_rng(seed)
     counts = np.zeros(inst.n, dtype=np.int64)
     total = 0.0
     total_sq = 0.0
@@ -161,7 +177,9 @@ def _mc_opt_and_membership(inst, trials, rng):
         counts += best.sum(axis=0)
         total += float(opts.sum())
         total_sq += float(opts @ opts)
-    return total, total_sq, counts
+    mean = total / trials
+    var = max(total_sq / trials - mean ** 2, 0.0)
+    return MCEstimate(mean, math.sqrt(var / trials), trials), counts
 
 
 def prophet_value_exact(inst, cap=None):
@@ -172,14 +190,8 @@ def prophet_value_exact(inst, cap=None):
 
 def prophet_value_mc(inst, trials, seed=0):
     """Monte Carlo estimate of the offline expectation."""
-    if trials <= 0:
-        raise ValueError("need a positive trial count")
-    rng = np.random.default_rng(seed)
-    total, total_sq, _ = _mc_opt_and_membership(inst, trials, rng)
-    mean = total / trials
-    var = max(total_sq / trials - mean ** 2, 0.0)
-    stderr = math.sqrt(var / trials)
-    return MCEstimate(mean, stderr, trials)
+    est, _ = _mc_opt_and_membership(inst, trials, seed)
+    return est
 
 
 def ex_ante_reduce(inst, mode="exact", trials=100_000, seed=0, cap=None):
@@ -187,29 +199,23 @@ def ex_ante_reduce(inst, mode="exact", trials=100_000, seed=0, cap=None):
 
     Exact mode enumerates the outcome product (cap-guarded); mc mode samples
     realizations and uses membership frequencies, which stay inside the
-    matroid polytope by construction. The feasibility slack is reported
-    whenever the ground set is small enough to check.
+    matroid polytope by construction. The prophet value comes from the same
+    enumeration or sample; the feasibility slack is computed when read.
     """
     if mode == "exact":
-        _, p = _exact_opt_and_membership(inst, cap)
-        used_trials = 0
+        opt, p = _exact_opt_and_membership(inst, cap)
+        stderr, used_trials = None, 0
     elif mode == "mc":
-        if trials <= 0:
-            raise ValueError("need a positive trial count")
-        rng = np.random.default_rng(seed)
-        _, _, counts = _mc_opt_and_membership(inst, trials, rng)
+        est, counts = _mc_opt_and_membership(inst, trials, seed)
+        opt, stderr, used_trials = est.mean, est.stderr, trials
         p = counts / trials
-        used_trials = trials
     else:
         raise ValueError(f"unknown mode {mode!r}")
     p = np.clip(p, 0.0, 1.0)
     t = np.array([d.tail_expectation(pi) if pi > 0 else 0.0
                   for d, pi in zip(inst.dists, p)])
     bern = BernoulliInstance(inst.matroid, p, t)
-    slack = None
-    if inst.n <= POLYTOPE_CAP:
-        slack = inst.matroid.polytope_slack(p)
-    return ReductionResult(bern, mode, used_trials, slack)
+    return ReductionResult(bern, mode, used_trials, opt, stderr)
 
 
 @dataclass(frozen=True)

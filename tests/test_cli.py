@@ -187,6 +187,25 @@ def test_exit_codes(tmp_path):
     assert err.value.code == 1
 
 
+def test_baseline_reduction_follows_run_settings(tmp_path, monkeypatch):
+    # 64 outcomes: past the environment's cap, within the run's --cap
+    monkeypatch.setenv("MATPROPHET_ENUM_CAP", "32")
+    inst_path = tmp_path / "u.json"
+    run_cli("gen", "--family", "uniform", "--n", 6, "--k", 2,
+            "--support-size", 2, "--seed", 5, "--out", inst_path)
+    assert load_instance(inst_path).instance.outcome_count() == 64
+    assert run_cli("run", "--instance", inst_path, "--algo", "kuniform-prob",
+                   "--mode", "exact", "--cap", 100,
+                   "--out", tmp_path / "exact") == 0
+    summary = json.loads((tmp_path / "exact.summary.json").read_text())
+    assert summary["ratio"] >= 0.5 - 1e-9
+    for order in ("worst-case", "random"):
+        assert run_cli("run", "--instance", inst_path, "--algo",
+                       "kuniform-prob", "--mode", "mc", "--trials", 1000,
+                       "--order", order, "--cap", 100,
+                       "--out", tmp_path / order) == 0
+
+
 def test_verify_suite_and_negative_control(tmp_path, capsys):
     good = tmp_path / "good"
     bad = tmp_path / "bad"

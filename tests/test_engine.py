@@ -29,6 +29,8 @@ def test_threshold_rule_validation():
     with pytest.raises(ValueError):
         ThresholdRule([np.nan], [0.0])
     with pytest.raises(ValueError):
+        ThresholdRule([-np.inf], [0.0])
+    with pytest.raises(ValueError):
         ThresholdRule([1.0], [1.5])
     with pytest.raises(ValueError):
         ThresholdRule([1.0, 2.0], [0.5])
@@ -177,7 +179,7 @@ def test_rules_are_fixed_before_arrivals():
     assert fps_a == fps_b
     # and the shared base arrays cannot be rewritten mid-run
     with pytest.raises(ValueError):
-        algo.design.base_thresholds[0] = -1.0
+        algo.rule.thresholds[0] = -1.0
 
 
 def test_accepted_sets_are_independent():

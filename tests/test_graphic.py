@@ -5,14 +5,16 @@ import itertools
 import numpy as np
 import pytest
 
-from matprophet import (Cut, GraphicMatroid, ProphetInstance,
-                        blocking_probability, build_thresholds,
-                        consideration_set, cut_bound_exact, cut_objective,
-                        derandomize_cut, ex_ante_reduce, orient_low_indegree,
-                        sample_cut)
+from matprophet import (ArrivalOrder, Cut, FixedRuleAlgorithm,
+                        GraphicMatroid, ProphetInstance, blocking_probability,
+                        build_thresholds, consideration_set, cut_bound_exact,
+                        cut_objective, derandomize_cut, ex_ante_reduce,
+                        expected_rule_value, expected_value_exact,
+                        monte_carlo_ratio, orient_low_indegree, sample_cut,
+                        worst_case_order)
 from matprophet.distributions import DiscreteDistribution
 from matprophet.generate import random_graphic_instance
-from matprophet.graphic import GraphicRandomCut
+from matprophet.graphic import GraphicDerandomizedCut, GraphicRandomCut
 from matprophet.matroids import scale
 
 
@@ -159,7 +161,7 @@ def test_rule_for_cut_opens_only_crossing_edges():
     inst = random_graphic_instance(rng, max_vertices=5, max_edges=7)
     algo = GraphicRandomCut(inst)
     cut = sample_cut(inst.matroid, rng)
-    rule = algo.design.rule_for_cut(cut, inst.matroid)
+    rule = algo.design.rule_for_cut(cut)
     considered = consideration_set(algo.design.orientation, cut)
     open_mask = np.isfinite(rule.thresholds)
     assert sorted(np.flatnonzero(open_mask)) == sorted(considered)
@@ -178,3 +180,53 @@ def test_build_thresholds_diagnostics():
     rule, diag = build_thresholds(inst, rng)
     assert set(diag) == {"design", "cut", "considered"}
     assert rule.thresholds.shape == (1,)
+
+
+def rule_bytes(rule):
+    return rule.thresholds.tobytes(), rule.atom_pass.tobytes()
+
+
+def test_exact_value_averages_every_cut_rule():
+    rng = np.random.default_rng(59)
+    for _ in range(30):
+        inst = random_graphic_instance(rng, max_vertices=5, max_edges=7)
+        algo = GraphicRandomCut(inst)
+        nv = inst.matroid.num_vertices
+        order = ArrivalOrder(worst_case_order(algo.reduction.t), "worst-case")
+        want = 0.0
+        for bits in itertools.product((False, True), repeat=nv):
+            cut = Cut(np.array(bits[::-1]))  # vertex 0 is the low bit
+            rule = algo.design.rule_for_cut(cut)
+            want += 0.5 ** nv * expected_rule_value(inst, rule, order)
+        assert expected_value_exact(inst, algo) == want
+
+
+def test_build_draws_the_cut_sample_cut_draws():
+    rng = np.random.default_rng(61)
+    for seed in range(10):
+        inst = random_graphic_instance(rng, max_vertices=6, max_edges=9)
+        algo = GraphicRandomCut(inst)
+        draw = np.random.default_rng(seed)
+        twin = np.random.default_rng(seed)
+        for _ in range(5):
+            rule = algo.build(draw)
+            cut = sample_cut(inst.matroid, twin)
+            assert rule_bytes(rule) == rule_bytes(
+                algo.design.rule_for_cut(cut))
+        assert draw.bit_generator.state == twin.bit_generator.state
+
+
+def test_derandomized_cut_is_its_fixed_rule():
+    rng = np.random.default_rng(67)
+    for case in range(6):
+        inst = random_graphic_instance(rng, max_vertices=5, max_edges=7)
+        algo = GraphicDerandomizedCut(inst)
+        fixed = FixedRuleAlgorithm(inst, algo.rule)
+        assert expected_value_exact(inst, algo) == \
+            expected_value_exact(inst, fixed)
+        for order in ("worst_case", "random"):
+            with pytest.warns(UserWarning):
+                a = monte_carlo_ratio(inst, algo, 600, seed=case, order=order)
+                b = monte_carlo_ratio(inst, fixed, 600, seed=case,
+                                      order=order)
+            assert a == b

@@ -11,7 +11,10 @@ from matprophet import (BernoulliInstance, GraphicMatroid, ProphetInstance,
                         prophet_value_exact, prophet_value_mc,
                         worst_case_order)
 from matprophet.distributions import DiscreteDistribution
-from matprophet.generate import random_graphic_instance, random_uniform_instance
+from matprophet.generate import (random_graphic_instance,
+                                 random_partition_instance,
+                                 random_uniform_instance)
+from matprophet.matroids import Matroid, POLYTOPE_CAP
 
 coin = DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
 
@@ -175,3 +178,41 @@ def test_outcome_cap():
     inst = random_uniform_instance(rng, max_n=4)
     with pytest.raises(EnumerationCapError):
         prophet_value_exact(inst, cap=2)
+
+
+def test_reduction_keeps_its_prophet_value():
+    rng = np.random.default_rng(53)
+    makers = (random_graphic_instance, random_uniform_instance,
+              random_partition_instance)
+    for case in range(12):
+        inst = makers[case % 3](rng)
+        red = ex_ante_reduce(inst)
+        assert red.prophet_value == prophet_value_exact(inst)
+        assert red.prophet_stderr is None
+        mc = ex_ante_reduce(inst, mode="mc", trials=3000, seed=case)
+        est = prophet_value_mc(inst, trials=3000, seed=case)
+        assert (mc.prophet_value, mc.prophet_stderr) == (est.mean, est.stderr)
+
+
+def test_feasibility_slack_is_computed_when_read(monkeypatch):
+    calls = []
+    slack = Matroid.polytope_slack
+
+    def counted(self, p):
+        calls.append(1)
+        return slack(self, p)
+
+    monkeypatch.setattr(Matroid, "polytope_slack", counted)
+    red = ex_ante_reduce(k3_coins())
+    assert calls == []
+    first = red.feasibility_slack
+    assert calls == [1]
+    assert red.feasibility_slack == first == slack(red.instance.matroid,
+                                                   red.p)
+    assert calls == [1]
+    # past the cap the slack stays None, and nothing is enumerated
+    n = POLYTOPE_CAP + 1
+    big = ProphetInstance(UniformMatroid(n, 2),
+                          [DiscreteDistribution.constant(1.0)] * n)
+    assert ex_ante_reduce(big).feasibility_slack is None
+    assert calls == [1]
