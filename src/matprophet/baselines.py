@@ -100,13 +100,16 @@ def samuel_cahn_threshold(inst):
                             out.degenerate)
 
 
-def kuniform_opt_fraction_threshold(inst, k=None, cap=None):
-    """T = offline expectation / (2k), plain comparison (ties pass)."""
+def kuniform_opt_fraction_threshold(inst, k=None, cap=None, opt=None):
+    """T = offline expectation / (2k), plain comparison (ties pass). `opt`
+    is that expectation when the caller already holds it exactly; otherwise
+    it is enumerated."""
     if k is None:
         k = _uniform_capacity(inst)
     if k < 1:
         return UniformThreshold(math.inf, 0.0, k, "opt-fraction")
-    opt = prophet_value_exact(inst, cap=cap)
+    if opt is None:
+        opt = prophet_value_exact(inst, cap=cap)
     return UniformThreshold(opt / (2.0 * k), 1.0, k, "opt-fraction")
 
 
@@ -168,7 +171,10 @@ def make_baseline(inst, name, cap=None, reduction=None):
     elif name == "kuniform-prob":
         ut = kuniform_probabilistic_threshold(inst)
     elif name == "kuniform-optfrac":
-        ut = kuniform_opt_fraction_threshold(inst, cap=cap)
+        # an exact reduction already holds the prophet value
+        exact = reduction is not None and reduction.mode == "exact"
+        ut = kuniform_opt_fraction_threshold(
+            inst, cap=cap, opt=reduction.prophet_value if exact else None)
     elif name in ("partition", "partition-prob", "partition-optfrac"):
         method = "opt-fraction" if name.endswith("optfrac") else "probabilistic"
         rule, per_block = partition_thresholds(inst, method, cap=cap)

@@ -96,6 +96,26 @@ def cmd_gen(args):
     return 0
 
 
+def _trial_rows(seed, order_tag, alg_vals, pro_vals, accepted):
+    """CSV rows of a Monte Carlo run, built column-wise from the trial
+    arrays and yielded one at a time; a trial whose prophet value is 0
+    gets ratio 1 and the degenerate flag, as in `safe_ratio`."""
+    degenerate = pro_vals == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(degenerate, 1.0, alg_vals / pro_vals)
+    # row-major nonzeros: each trial's accepted items in ascending order
+    trial_of, item = np.nonzero(accepted)
+    bounds = np.searchsorted(trial_of, np.arange(len(accepted) + 1)).tolist()
+    item = item.tolist()
+    seed = str(seed)
+    for tr, (a, p, r, dg) in enumerate(zip(
+            alg_vals.tolist(), pro_vals.tolist(), ratio.tolist(),
+            degenerate.tolist())):
+        yield (str(tr), seed, order_tag, repr(a), repr(p), repr(r),
+               ";".join(map(str, item[bounds[tr]:bounds[tr + 1]])),
+               "1" if dg else "0")
+
+
 def _write_csv(path, rows):
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
@@ -141,13 +161,8 @@ def cmd_run(args):
                        level=res.level, degenerate=res.degenerate,
                        trials=res.trials,
                        low_sample_warning=res.low_sample_warning)
-        rows = []
-        for tr in range(res.trials):
-            r, dg = safe_ratio(float(alg_vals[tr]), float(pro_vals[tr]))
-            acc = ";".join(str(e) for e in np.flatnonzero(accepted[tr]))
-            rows.append((str(tr), str(args.seed), order_tag,
-                         _fmt(alg_vals[tr]), _fmt(pro_vals[tr]), _fmt(r),
-                         acc, "1" if dg else "0"))
+        rows = _trial_rows(args.seed, order_tag, alg_vals, pro_vals,
+                           accepted)
 
     red = algo.reduction
     summary["p"] = red.p.tolist()

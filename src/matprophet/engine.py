@@ -19,7 +19,7 @@ from scipy.stats import norm
 from . import kernels
 from .errors import EnumerationCapError
 from .reduction import (ex_ante_reduce, resolve_enum_cap, sample_value_matrix,
-                        worst_case_order)
+                        values_from_uniform, worst_case_order)
 
 LOW_SAMPLE_FLOOR = 1000
 
@@ -245,20 +245,21 @@ def _ratio_summary(alg_vals, pro_vals, level, trials):
 
 def _draw_trials(inst, algo, seed, trial_ids):
     """Trial tr draws from SeedSequence((seed, tr)), in this order: its
-    considered set (e.g. a cut), values, atom coins and an arrival
-    permutation. Returns the per-trial rows (perm, consider, values,
-    coins)."""
+    considered set (e.g. a cut), the uniforms behind its values, atom coins
+    and an arrival permutation. The uniforms of all trials go through the
+    inverse cdfs in one pass. Returns the per-trial rows (perm, consider,
+    values, coins)."""
     rows = (len(trial_ids), inst.n)
     perm = np.empty(rows, dtype=np.int64)
     consider = np.empty(rows, dtype=bool)
-    values, coins = np.empty(rows), np.empty(rows)
+    u, coins = np.empty(rows), np.empty(rows)
     for r, tr in enumerate(trial_ids):
         trial_rng = np.random.default_rng(np.random.SeedSequence((seed, tr)))
         consider[r] = algo.consider_matrix(trial_rng, 1)[0]
-        values[r] = sample_value_matrix(inst, trial_rng, 1)[0]
+        u[r] = trial_rng.random(inst.n)
         coins[r] = trial_rng.random(inst.n)
         perm[r] = trial_rng.permutation(inst.n)
-    return perm, consider, values, coins
+    return perm, consider, values_from_uniform(inst, u), coins
 
 
 def monte_carlo_ratio(inst, algo, trials, seed=0, order="worst_case",
@@ -270,6 +271,8 @@ def monte_carlo_ratio(inst, algo, trials, seed=0, order="worst_case",
     """
     if trials <= 0:
         raise ValueError("need a positive trial count")
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"confidence level {level} outside (0, 1)")
     rng = np.random.default_rng(seed)
     # a random order draws every trial from its own stream; a fixed order
     # draws whole blocks from one stream

@@ -10,6 +10,7 @@ least 1/32 of the offline expectation.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,9 +33,12 @@ class Orientation:
     ev: np.ndarray
     heads: np.ndarray
 
-    @property
+    @cached_property
     def tails(self):
-        return np.where(self.heads == self.ev, self.eu, self.ev)
+        # read once per Monte Carlo trial by `crossing`
+        tails = np.where(self.heads == self.ev, self.eu, self.ev)
+        tails.flags.writeable = False
+        return tails
 
     def incoming(self, v):
         return tuple(int(i) for i in np.flatnonzero(self.heads == v))

@@ -6,6 +6,7 @@ declared vectors around so verification can audit them as stated.
 """
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,8 @@ def _matroid_to_dict(m):
 
 
 def _matroid_from_dict(d):
+    if not isinstance(d, dict):
+        raise ValueError("matroid section must be a JSON object")
     kind = d.get("type")
     if kind == "graphic":
         return GraphicMatroid(d["num_vertices"], d["edges"])
@@ -79,6 +82,18 @@ def save_instance(path, inst_or_dict):
         fh.write("\n")
 
 
+@contextmanager
+def _field(name):
+    """Report a missing key or a value of the wrong type inside field
+    `name` as a ValueError naming that field."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{name} lacks the field {exc.args[0]!r}") from exc
+    except TypeError as exc:
+        raise ValueError(f"{name} is malformed: {exc}") from exc
+
+
 def parse_instance(doc):
     if not isinstance(doc, dict):
         raise ValueError("instance document must be a JSON object")
@@ -87,7 +102,8 @@ def parse_instance(doc):
         raise ValueError(f"unsupported format version {version!r}")
     if "matroid" not in doc:
         raise ValueError("instance document lacks a matroid section")
-    matroid = _matroid_from_dict(doc["matroid"])
+    with _field("matroid"):
+        matroid = _matroid_from_dict(doc["matroid"])
     has_dists = "distributions" in doc
     has_bern = "bernoulli" in doc
     if has_dists == has_bern:
@@ -95,14 +111,19 @@ def parse_instance(doc):
             "need exactly one of 'distributions' or 'bernoulli'")
     if has_dists:
         entries = doc["distributions"]
+        if not isinstance(entries, list):
+            raise ValueError("distributions must be a JSON array")
         if len(entries) != matroid.n:
             raise ValueError(
                 f"{len(entries)} distributions for {matroid.n} elements")
-        dists = tuple(DiscreteDistribution(e["support"], e["probs"])
-                      for e in entries)
+        dists = []
+        for i, e in enumerate(entries):
+            with _field(f"distributions[{i}]"):
+                dists.append(DiscreteDistribution(e["support"], e["probs"]))
         return LoadedInstance(ProphetInstance(matroid, dists))
-    p = np.asarray(doc["bernoulli"]["p"], dtype=float)
-    t = np.asarray(doc["bernoulli"]["t"], dtype=float)
+    with _field("bernoulli"):
+        p = np.asarray(doc["bernoulli"]["p"], dtype=float)
+        t = np.asarray(doc["bernoulli"]["t"], dtype=float)
     if p.shape != (matroid.n,) or t.shape != (matroid.n,):
         raise ValueError("bernoulli vectors do not match the ground set")
     if np.any(p < 0) or np.any(p > 1):

@@ -153,13 +153,18 @@ def _exact_opt_and_membership(inst, cap=None):
     return kernels.exact_reduce(inst.matroid, offsets, values, probs)
 
 
-def sample_value_matrix(inst, rng, trials):
-    """(trials, n) realization matrix, one column per item."""
-    out = np.empty((trials, inst.n))
-    u = rng.random((trials, inst.n))
+def values_from_uniform(inst, u):
+    """Realizations from a (rows, n) matrix of uniform [0,1) draws: each
+    column goes through its item's inverse cdf."""
+    out = np.empty(u.shape)
     for i, d in enumerate(inst.dists):
         out[:, i] = d.sample_from_uniform(u[:, i])
     return out
+
+
+def sample_value_matrix(inst, rng, trials):
+    """(trials, n) realization matrix, one column per item."""
+    return values_from_uniform(inst, rng.random((trials, inst.n)))
 
 
 def _mc_opt_and_membership(inst, trials, seed):

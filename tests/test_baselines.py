@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from matprophet import (PartitionMatroid, ProphetInstance, UniformMatroid,
-                        kuniform_opt_fraction_threshold,
+                        ex_ante_reduce, kuniform_opt_fraction_threshold,
                         kuniform_probabilistic_threshold, make_baseline,
                         partition_thresholds, prophet_value_exact,
                         samuel_cahn_threshold)
+from matprophet import kernels
 from matprophet.baselines import _below_k_probability
 from matprophet.distributions import DiscreteDistribution
 from matprophet.engine import expected_value_exact
@@ -89,6 +90,32 @@ def test_opt_fraction_threshold():
     assert ut.threshold == pytest.approx(0.75 / 2.0)
     assert ut.atom_pass == 1.0
     assert ut.method == "opt-fraction"
+
+
+def test_opt_fraction_reuses_an_exact_reduction(monkeypatch):
+    calls = []
+    exact_reduce = kernels.exact_reduce
+
+    def counted(*args):
+        calls.append(1)
+        return exact_reduce(*args)
+
+    monkeypatch.setattr(kernels, "exact_reduce", counted)
+    rng = np.random.default_rng(31)
+    for case in range(6):
+        inst = random_uniform_instance(rng, max_n=5)
+        own = make_baseline(inst, "kuniform-optfrac")
+        calls.clear()
+        exact = make_baseline(inst, "kuniform-optfrac",
+                              reduction=ex_ante_reduce(inst))
+        assert len(calls) == 1  # the reduction's enumeration, no second
+        mc = make_baseline(inst, "kuniform-optfrac", reduction=ex_ante_reduce(
+            inst, mode="mc", trials=500, seed=case))
+        assert len(calls) == 2  # an mc reduction holds no exact value
+        for algo in (exact, mc):
+            assert algo.info == own.info
+            assert algo.rule.thresholds.tobytes() == \
+                own.rule.thresholds.tobytes()
 
 
 def test_half_guarantee_uniform_exact():

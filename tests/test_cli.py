@@ -9,8 +9,10 @@ import pytest
 from matprophet import (BernoulliInstance, GraphicMatroid, PartitionMatroid,
                         ProphetInstance, UniformMatroid, bernoulli_to_dict,
                         load_instance, parse_instance, save_instance)
-from matprophet.cli import main
+from matprophet import kernels
+from matprophet.cli import CSV_HEADER, _fmt, main, make_algorithm
 from matprophet.distributions import DiscreteDistribution
+from matprophet.engine import monte_carlo_ratio, safe_ratio
 from matprophet.generate import random_graphic_instance
 
 
@@ -71,6 +73,34 @@ def test_parse_rejects_bad_documents():
     }
     with pytest.raises(ValueError):
         parse_instance(doc)  # both sections at once
+
+
+def test_parse_names_the_malformed_field():
+    uniform = {"type": "uniform", "n": 1, "k": 1}
+    cases = [
+        ({"matroid": {"type": "graphic"}, "distributions": []},
+         "num_vertices"),
+        ({"matroid": uniform, "distributions": 5}, "distributions"),
+        ({"matroid": uniform, "distributions": [{"support": [1.0]}]},
+         "probs"),
+        ({"matroid": uniform, "bernoulli": {"p": [0.5]}}, "'t'"),
+        ({"matroid": {"type": "graphic", "num_vertices": 2, "edges": 5},
+          "distributions": []}, "matroid"),
+    ]
+    for doc, field in cases:
+        with pytest.raises(ValueError, match=field):
+            parse_instance({"version": 1, **doc})
+
+
+def test_malformed_instance_exits_cleanly(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"version": 1, "matroid": {"type": "graphic"},
+                                "distributions": []}))
+    assert run_cli("run", "--instance", path, "--algo", "graphic-random-cut",
+                   "--out", tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "num_vertices" in err
+    assert "Traceback" not in err
 
 
 def run_cli(*argv):
@@ -137,6 +167,55 @@ def test_run_mc_csv_is_reproducible(tmp_path):
             float(r0["alg_value"]) / float(r0["prophet_value"]), abs=1e-12)
 
 
+def oracle_csv(seed, order_tag, alg_vals, pro_vals, accepted):
+    """The CSV a Monte Carlo run writes, built one row at a time."""
+    lines = [CSV_HEADER]
+    for tr in range(len(alg_vals)):
+        r, dg = safe_ratio(float(alg_vals[tr]), float(pro_vals[tr]))
+        acc = ";".join(str(e) for e in np.flatnonzero(accepted[tr]))
+        lines.append(",".join((str(tr), str(seed), order_tag,
+                               _fmt(alg_vals[tr]), _fmt(pro_vals[tr]),
+                               _fmt(r), acc, "1" if dg else "0")))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_mc_csv_matches_per_row_oracle(tmp_path):
+    rng = np.random.default_rng(41)
+
+    def sparse():
+        # often worth nothing, so some trials have prophet value 0 and
+        # accept nothing; unrounded values otherwise
+        return DiscreteDistribution([0.0, *np.sort(rng.random(2)) * 10.0],
+                                    [0.6, 0.25, 0.15])
+
+    g = GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)])
+    uniform = ProphetInstance(UniformMatroid(4, 2),
+                              [sparse() for _ in range(4)])
+    cases = [(ProphetInstance(g, [sparse() for _ in range(g.n)]),
+              "graphic-random-cut"), (uniform, "kuniform-prob")]
+    trials, seed = 300, 7
+    degenerate = empty = 0
+    for case, (inst, name) in enumerate(cases):
+        inst_path = tmp_path / f"i{case}.json"
+        save_instance(inst_path, inst)
+        for order in ("worst-case", "random"):
+            out = tmp_path / f"{case}-{order}"
+            with pytest.warns(UserWarning):
+                assert run_cli("run", "--instance", inst_path, "--algo", name,
+                               "--mode", "mc", "--trials", trials, "--seed",
+                               seed, "--order", order, "--out", out) == 0
+                algo = make_algorithm(inst, name, mode="mc", trials=trials,
+                                      seed=seed)
+                _, alg, pro, acc = monte_carlo_ratio(
+                    inst, algo, trials, seed=seed,
+                    order=order.replace("-", "_"), return_trials=True)
+            want = oracle_csv(seed, order, alg, pro, acc)
+            assert out.with_suffix(".csv").read_bytes() == want
+            degenerate += int((pro == 0).sum())
+            empty += int((~acc.any(axis=1)).sum())
+    assert degenerate > 0 and empty > degenerate
+
+
 def test_run_baseline_summary(tmp_path):
     inst_path = tmp_path / "u.json"
     run_cli("gen", "--family", "uniform", "--n", 4, "--k", 1, "--seed", 2,
@@ -185,6 +264,41 @@ def test_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as err:
         run_cli("run", "--no-such-flag")
     assert err.value.code == 1
+
+
+def test_run_rejects_a_level_outside_zero_one(tmp_path, capsys):
+    inst_path = tmp_path / "u.json"
+    run_cli("gen", "--family", "uniform", "--n", 3, "--k", 1, "--seed", 1,
+            "--out", inst_path)
+    for level in ("1.5", "0", "nan"):
+        out = tmp_path / f"level{level}"
+        assert run_cli("run", "--instance", inst_path, "--algo",
+                       "samuel-cahn", "--mode", "mc", "--trials", 100,
+                       "--level", level, "--out", out) == 1
+        assert "level" in capsys.readouterr().err
+        assert not out.with_suffix(".summary.json").exists()
+
+
+def test_verify_enumerates_a_uniform_instance_once(tmp_path, capsys,
+                                                    monkeypatch):
+    inst_path = tmp_path / "u.json"
+    run_cli("gen", "--family", "uniform", "--n", 5, "--k", 2, "--seed", 4,
+            "--out", inst_path)
+    capsys.readouterr()
+    assert run_cli("verify", "--suite", inst_path) == 0
+    before = capsys.readouterr().out
+    calls = []
+    exact_reduce = kernels.exact_reduce
+
+    def counted(*args):
+        calls.append(1)
+        return exact_reduce(*args)
+
+    monkeypatch.setattr(kernels, "exact_reduce", counted)
+    assert run_cli("verify", "--suite", inst_path) == 0
+    # the reduction's enumeration also prices kuniform-optfrac
+    assert len(calls) == 1
+    assert capsys.readouterr().out == before
 
 
 def test_baseline_reduction_follows_run_settings(tmp_path, monkeypatch):

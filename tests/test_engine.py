@@ -232,6 +232,9 @@ def test_monte_carlo_validation():
     algo = FixedRuleAlgorithm(inst, ThresholdRule(np.ones(3), np.ones(3)))
     with pytest.raises(ValueError):
         monte_carlo_ratio(inst, algo, trials=0)
+    for level in (0.0, 1.0, 1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="level"):
+            monte_carlo_ratio(inst, algo, trials=10, level=level)
     with pytest.raises(ValueError):
         expected_value_exact(inst, algo, order="no-such-policy")
 

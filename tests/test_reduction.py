@@ -15,6 +15,7 @@ from matprophet.generate import (random_graphic_instance,
                                  random_partition_instance,
                                  random_uniform_instance)
 from matprophet.matroids import Matroid, POLYTOPE_CAP
+from matprophet.reduction import sample_value_matrix, values_from_uniform
 
 coin = DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
 
@@ -178,6 +179,21 @@ def test_outcome_cap():
     inst = random_uniform_instance(rng, max_n=4)
     with pytest.raises(EnumerationCapError):
         prophet_value_exact(inst, cap=2)
+
+
+def test_values_from_uniform_is_the_sampler():
+    rng = np.random.default_rng(59)
+    makers = (random_graphic_instance, random_uniform_instance,
+              random_partition_instance)
+    for case in range(9):
+        inst = makers[case % 3](rng)
+        trials = 1 + 37 * case
+        u = np.random.default_rng(case).random((trials, inst.n))
+        got = values_from_uniform(inst, u)
+        assert got.shape == (trials, inst.n)
+        assert np.array_equal(
+            got, sample_value_matrix(inst, np.random.default_rng(case),
+                                     trials))
 
 
 def test_reduction_keeps_its_prophet_value():
