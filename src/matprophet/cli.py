@@ -61,9 +61,21 @@ def _fmt(x):
 
 
 def _json_num(x):
-    """Keep summaries valid JSON when a threshold is infinite."""
+    """Keep summaries valid JSON when a number is infinite (a threshold, or
+    the polytope slack of an empty ground set); None stays null."""
+    if x is None:
+        return None
     x = float(x)
     return x if math.isfinite(x) else repr(x)
+
+
+def _level(text):
+    """--level: a confidence level strictly between 0 and 1."""
+    x = float(text)
+    if not 0.0 < x < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"level must lie in (0, 1), got {text}")
+    return x
 
 
 def _threshold_doc(ut):
@@ -168,7 +180,7 @@ def cmd_run(args):
     summary["p"] = red.p.tolist()
     summary["t"] = red.t.tolist()
     summary["priced_bound"] = red.bound()
-    summary["feasibility_slack"] = red.feasibility_slack
+    summary["feasibility_slack"] = _json_num(red.feasibility_slack)
     if args.algo in GRAPHIC_ALGOS:
         design = algo.design
         o = design.orientation
@@ -213,7 +225,7 @@ def cmd_reduce(args):
         "p": red.p.tolist(),
         "t": red.t.tolist(),
         "priced_bound": red.bound(),
-        "feasibility_slack": red.feasibility_slack,
+        "feasibility_slack": _json_num(red.feasibility_slack),
         "worst_case_order": worst_case_order(red.t).tolist(),
         "prophet_value": red.prophet_value,
     }
@@ -379,7 +391,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--order", choices=("worst-case", "random"),
                    default="worst-case")
-    p.add_argument("--level", type=float, default=0.99)
+    p.add_argument("--level", type=_level, default=0.99)
     p.add_argument("--cap", type=int, default=None)
     p.add_argument("--out", required=True,
                    help="output prefix for .csv and .summary.json")

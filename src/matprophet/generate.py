@@ -3,6 +3,7 @@
 import numpy as np
 
 from .distributions import DiscreteDistribution
+from .kernels import batched_greedy
 from .matroids import GraphicMatroid, PartitionMatroid, UniformMatroid
 from .reduction import ProphetInstance
 
@@ -88,15 +89,8 @@ def random_polytope_point(matroid, rng, mixtures=8):
     """Random point of the independent-set polytope: a Dirichlet mixture of
     indicator vectors of greedy-maximal independent sets under random
     element orders."""
-    indicators = []
-    for _ in range(mixtures):
-        order = rng.permutation(matroid.n)
-        picked = []
-        for e in order:
-            if matroid.is_independent(picked + [int(e)]):
-                picked.append(int(e))
-        row = np.zeros(matroid.n)
-        row[picked] = 1.0
-        indicators.append(row)
+    orders = np.array([rng.permutation(matroid.n) for _ in range(mixtures)])
+    _, accepted = batched_greedy(matroid, orders,
+                                 np.ones(orders.shape, dtype=bool), 0.0)
     weights = rng.dirichlet(np.ones(mixtures))
-    return np.einsum("m,mn->n", weights, np.array(indicators))
+    return np.einsum("m,mn->n", weights, accepted.astype(float))

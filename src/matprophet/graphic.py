@@ -241,9 +241,9 @@ class GraphicRandomCut(FixedRuleAlgorithm):
             raise EnumerationCapError(
                 f"2^{nv} cuts exceed the enumeration cap {limit}")
         weight = 0.5 ** nv
-        for mask in range(1 << nv):
-            in_a = (mask >> np.arange(nv)) & 1 == 1
-            yield weight, self.design.orientation.crossing(in_a)
+        for in_a in kernels.subset_rows(nv):
+            for considered in self.design.orientation.crossing(in_a):
+                yield weight, considered
 
 
 class GraphicDerandomizedCut(FixedRuleAlgorithm):

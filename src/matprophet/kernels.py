@@ -9,7 +9,9 @@ kind 1 is capacitated partition (block_id, caps)); any other Matroid is
 checked row by row through its is_independent oracle.
 
 Every exact or Monte Carlo computation builds blocks of rows (outcomes,
-pass patterns, activation masks, sampled trials) and calls the primitive.
+pass patterns, activation masks, cuts, polytope subsets, sampled trials)
+and calls the primitive; every sweep over the subsets of k items takes its
+rows from `subset_rows`.
 Sums run left to right in enumeration order, so each result equals the one
 a plain loop over the rows gives, bit for bit.
 """
@@ -25,7 +27,7 @@ BLOCK = 1 << 14
 ENUM_BLOCK = 1 << 12
 
 
-def _running_sum(start, terms):
+def running_sum(start, terms):
     """start + terms[..., 0] + terms[..., 1] + ..., added left to right
     (np.cumsum is sequential; np.sum sums pairwise)."""
     start = np.asarray(start, dtype=float)[..., None]
@@ -143,22 +145,29 @@ def exact_reduce(m, offsets, sup_values, sup_probs):
         # mc_max_weight as the Monte Carlo layer, so enumeration stays out
         totals, accepted = batched_greedy(m, _weight_order(values),
                                           values > 0.0, values)
-        opt = _running_sum(opt, prob * totals)
+        opt = running_sum(opt, prob * totals)
         for i in range(sizes.size):
-            p[i] = _running_sum(p[i], prob[accepted[:, i]])
+            p[i] = running_sum(p[i], prob[accepted[:, i]])
     return float(opt), p
+
+
+def subset_rows(k, step=ENUM_BLOCK):
+    """The 2^k subsets of k items as bit rows, in ascending mask order and
+    in blocks of `step` rows: column j of a row is bit j of its mask. Every
+    subset sweep (pass and activation patterns, cuts, polytope subsets)
+    takes its rows from here, so they all enumerate in this one order."""
+    for start in range(0, 1 << k, step):
+        mask = np.arange(start, min(start + step, 1 << k))
+        yield ((mask[:, None] >> np.arange(k)) & 1).astype(bool)
 
 
 def _patterns(q, step=ENUM_BLOCK):
     """Activation patterns in mask order, in blocks of `step`: bit j of the
     mask activates item j, active with probability q[..., j]. Yields
     (bits (B, m), pattern probabilities (..., B))."""
-    m = q.shape[-1]
-    for start in range(0, 1 << m, step):
-        mask = np.arange(start, min(start + step, 1 << m))
-        bits = ((mask[:, None] >> np.arange(m)) & 1).astype(bool)
-        prob = np.ones(q.shape[:-1] + mask.shape)
-        for j in range(m):
+    for bits in subset_rows(q.shape[-1], step):
+        prob = np.ones(q.shape[:-1] + bits.shape[:1])
+        for j in range(bits.shape[1]):
             prob *= np.where(bits[:, j], q[..., j, None], 1.0 - q[..., j, None])
         yield bits, prob
 
@@ -176,7 +185,7 @@ def rule_value_exact(m, cons, pass_probs, cond_values):
         take = np.zeros((len(bits), pass_probs.size), dtype=bool)
         take[:, cons] = bits
         values, _ = batched_greedy(m, cons, take, cond_values)
-        total = _running_sum(total, prob * values)
+        total = running_sum(total, prob * values)
     return float(total)
 
 
@@ -198,7 +207,7 @@ def _spanned(m, targets, others, probs):
         _, acc = batched_greedy(m, np.repeat(order, len(bits), axis=0),
                                 take.reshape(-1, probs.size), 0.0)
         refused = ~acc.reshape(take.shape)[np.arange(k), :, targets]
-        out = _running_sum(out, np.where(refused, prob, 0.0))
+        out = running_sum(out, np.where(refused, prob, 0.0))
     return out
 
 
@@ -217,18 +226,19 @@ def expected_cut_objective(g, heads, p, t, assign):
     A cut's objective sums p*t*(1 - blocking probability within the
     crossing set) over the edges crossing from side A to side B. A cut's
     (edge, activation pattern) rows go to the primitive together, up to
-    ENUM_BLOCK rows per call.
+    ENUM_BLOCK rows per call. The completions come from subset_rows (bit j
+    puts the j-th undecided vertex on side A), a block of cuts at a time.
     """
     tails = np.where(heads == g.ev, g.eu, g.ev)
     free = np.flatnonzero(assign < 0)
-    in_a = assign == 1
     total = 0.0
-    for mask in range(1 << free.size):
-        in_a[free] = (mask >> np.arange(free.size)) & 1
-        cross = np.flatnonzero(in_a[tails] & ~in_a[heads])
-        k = cross.size
-        if k:
-            others = np.broadcast_to(cross, (k, k))[~np.eye(k, dtype=bool)]
-            b = _spanned(g, cross, others.reshape(k, k - 1), p)
-            total += _running_sum(0.0, p[cross] * t[cross] * (1.0 - b))
+    for bits in subset_rows(free.size):
+        in_a = np.repeat((assign == 1)[None], len(bits), axis=0)
+        in_a[:, free] = bits
+        for cross in map(np.flatnonzero, in_a[:, tails] & ~in_a[:, heads]):
+            k = cross.size
+            if k:
+                others = np.broadcast_to(cross, (k, k))[~np.eye(k, dtype=bool)]
+                b = _spanned(g, cross, others.reshape(k, k - 1), p)
+                total += running_sum(0.0, p[cross] * t[cross] * (1.0 - b))
     return total / (1 << free.size)

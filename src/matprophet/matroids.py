@@ -3,7 +3,8 @@ membership in the independent-set polytope.
 
 Elements are integers 0..n-1. Three concrete families are provided (graphic,
 uniform, partition); anything else can subclass Matroid and only supply
-is_independent.
+is_independent. Each family defines itself by is_independent; rank, bases
+and polytope slack all run kernels.batched_greedy.
 """
 
 import itertools
@@ -26,15 +27,10 @@ def scale(p, factor):
 class Matroid:
     """Independence oracle plus the derived operations every matroid gets."""
 
-    def __init__(self, n, labels=None):
+    def __init__(self, n):
         if n < 0:
             raise ValueError("ground set size must be nonnegative")
         self.n = int(n)
-        if labels is not None:
-            labels = tuple(str(s) for s in labels)
-            if len(labels) != self.n:
-                raise ValueError("need one label per element")
-        self.labels = labels
 
     def is_independent(self, elements):
         raise NotImplementedError
@@ -50,12 +46,10 @@ class Matroid:
 
     def rank(self, elements):
         """Size of a maximal independent subset (greedy is exact here)."""
-        elems = self._check_elements(elements)
-        picked = []
-        for e in elems:
-            if self.is_independent(picked + [e]):
-                picked.append(e)
-        return len(picked)
+        elems = np.array(self._check_elements(elements), dtype=np.int64)
+        _, accepted = kernels.batched_greedy(
+            self, elems, np.ones((1, self.n), dtype=bool), 0.0)
+        return int(accepted.sum())
 
     def max_weight_basis(self, weights):
         """Greedy max-weight independent set.
@@ -75,40 +69,37 @@ class Matroid:
             raise ValueError("weights must be finite and nonnegative")
         return w
 
-    def polytope_slack(self, p, max_elements=POLYTOPE_CAP):
+    def polytope_slack(self, p):
         """min over nonempty subsets S of rank(S) - p(S); nonnegative (up to
-        float noise) exactly when p lies in the independent-set polytope."""
+        float noise) exactly when p lies in the independent-set polytope,
+        and inf when there is no element.
+
+        Each subset is one greedy row in index order, so its rank is the
+        number of items the row accepts; p(S) adds left to right in index
+        order."""
         pv = np.asarray(p, dtype=float)
         if pv.shape != (self.n,):
             raise ValueError(f"expected {self.n} entries, got shape {pv.shape}")
         if not np.all(np.isfinite(pv)) or np.any(pv < 0):
             raise ValueError("vector must be finite and nonnegative")
-        if self.n > max_elements:
+        if self.n > POLYTOPE_CAP:
             raise EnumerationCapError(
                 f"polytope check enumerates subsets; {self.n} elements "
-                f"exceeds the cap of {max_elements}")
-        # DFS over the include/exclude tree, carrying a greedy independent
-        # subset so the rank of each visited subset comes in O(1) checks.
+                f"exceeds the cap of {POLYTOPE_CAP}")
         best = np.inf
-        stack = [(0, 0, 0.0, [], 0)]
-        while stack:
-            i, size, mass, picked, rank = stack.pop()
-            if size > 0:
-                slack = rank - mass
-                if slack < best:
-                    best = slack
-            if i == self.n:
-                continue
-            stack.append((i + 1, size, mass, picked, rank))
-            if self.is_independent(picked + [i]):
-                stack.append((i + 1, size + 1, mass + pv[i], picked + [i],
-                              rank + 1))
-            else:
-                stack.append((i + 1, size + 1, mass + pv[i], picked, rank))
+        for bits in kernels.subset_rows(self.n):
+            _, accepted = kernels.batched_greedy(self, np.arange(self.n),
+                                                 bits, 0.0)
+            mass = kernels.running_sum(np.zeros(len(bits)),
+                                        np.where(bits, pv, 0.0))
+            # the empty subset is left out
+            slack = np.where(bits.any(axis=1), accepted.sum(axis=1) - mass,
+                             np.inf)
+            best = min(best, slack.min())
         return float(best)
 
-    def in_polytope(self, p, max_elements=POLYTOPE_CAP, tol=1e-9):
-        return self.polytope_slack(p, max_elements=max_elements) >= -tol
+    def in_polytope(self, p, tol=1e-9):
+        return self.polytope_slack(p) >= -tol
 
     def kernel_args(self):
         """(kind, num_vertices, eu, ev, block_id, caps) for
@@ -120,9 +111,9 @@ class GraphicMatroid(Matroid):
     """Forests of a multigraph. Parallel edges are fine; self-loops are not
     (a self-loop is never independent, reject it up front)."""
 
-    def __init__(self, num_vertices, edges, labels=None):
+    def __init__(self, num_vertices, edges):
         edges = [(int(u), int(v)) for u, v in edges]
-        super().__init__(len(edges), labels)
+        super().__init__(len(edges))
         if num_vertices < 0:
             raise ValueError("vertex count must be nonnegative")
         self.num_vertices = int(num_vertices)
@@ -152,24 +143,6 @@ class GraphicMatroid(Matroid):
             parent[ru] = rv
         return True
 
-    def rank(self, elements):
-        elems = self._check_elements(elements)
-        parent = list(range(self.num_vertices))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        r = 0
-        for e in elems:
-            ru, rv = find(self.eu[e]), find(self.ev[e])
-            if ru != rv:
-                parent[ru] = rv
-                r += 1
-        return r
-
     def kernel_args(self):
         return (0, self.num_vertices, self.eu, self.ev,
                 np.zeros(self.n, np.int64), np.array([self.n], np.int64))
@@ -178,17 +151,14 @@ class GraphicMatroid(Matroid):
 class UniformMatroid(Matroid):
     """Any set of at most k elements is independent."""
 
-    def __init__(self, n, k, labels=None):
-        super().__init__(n, labels)
+    def __init__(self, n, k):
+        super().__init__(n)
         if not 0 <= k <= n:
             raise ValueError(f"capacity k={k} must satisfy 0 <= k <= n={n}")
         self.k = int(k)
 
     def is_independent(self, elements):
         return len(self._check_elements(elements)) <= self.k
-
-    def rank(self, elements):
-        return min(len(self._check_elements(elements)), self.k)
 
     def kernel_args(self):
         return (1, 0, np.zeros(self.n, np.int64), np.zeros(self.n, np.int64),
@@ -198,10 +168,10 @@ class UniformMatroid(Matroid):
 class PartitionMatroid(Matroid):
     """Per-block capacities over a partition of the ground set."""
 
-    def __init__(self, blocks, capacities, labels=None):
+    def __init__(self, blocks, capacities):
         blocks = tuple(tuple(int(e) for e in b) for b in blocks)
         n = sum(len(b) for b in blocks)
-        super().__init__(n, labels)
+        super().__init__(n)
         seen = sorted(itertools.chain.from_iterable(blocks))
         if seen != list(range(n)):
             raise ValueError("blocks must partition 0..n-1 exactly")
@@ -226,13 +196,6 @@ class PartitionMatroid(Matroid):
             if used[b] > self.capacities[b]:
                 return False
         return True
-
-    def rank(self, elements):
-        elems = self._check_elements(elements)
-        used = [0] * len(self.blocks)
-        for e in elems:
-            used[self.block_id[e]] += 1
-        return sum(min(u, c) for u, c in zip(used, self.capacities))
 
     def kernel_args(self):
         return (1, 0, np.zeros(self.n, np.int64), np.zeros(self.n, np.int64),

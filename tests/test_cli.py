@@ -266,17 +266,49 @@ def test_exit_codes(tmp_path):
     assert err.value.code == 1
 
 
-def test_run_rejects_a_level_outside_zero_one(tmp_path, capsys):
+def test_run_rejects_a_level_outside_zero_one(tmp_path, capsys,
+                                              monkeypatch):
     inst_path = tmp_path / "u.json"
     run_cli("gen", "--family", "uniform", "--n", 3, "--k", 1, "--seed", 1,
             "--out", inst_path)
-    for level in ("1.5", "0", "nan"):
-        out = tmp_path / f"level{level}"
-        assert run_cli("run", "--instance", inst_path, "--algo",
-                       "samuel-cahn", "--mode", "mc", "--trials", 100,
-                       "--level", level, "--out", out) == 1
-        assert "level" in capsys.readouterr().err
-        assert not out.with_suffix(".summary.json").exists()
+
+    def never(*args, **kwargs):
+        raise AssertionError("the algorithm was built before --level "
+                             "was checked")
+
+    monkeypatch.setattr("matprophet.cli.make_algorithm", never)
+    for mode in ("mc", "exact"):
+        for level in ("1.5", "0", "nan"):
+            out = tmp_path / f"{mode}{level}"
+            # a usage error: the parser exits 1, like an unknown flag
+            with pytest.raises(SystemExit) as err:
+                run_cli("run", "--instance", inst_path, "--algo",
+                        "samuel-cahn", "--mode", mode, "--trials", 100,
+                        "--level", level, "--out", out)
+            assert err.value.code == 1
+            assert "level" in capsys.readouterr().err
+            assert not out.with_suffix(".summary.json").exists()
+
+
+def test_empty_ground_set_writes_strict_json(tmp_path, capsys):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    for name, family in (("g", ("graphic", "--vertices", 3, "--edges", 0)),
+                         ("u", ("uniform", "--n", 0, "--k", 0))):
+        inst_path = tmp_path / f"{name}.json"
+        run_cli("gen", "--family", *family, "--out", inst_path)
+        out = tmp_path / name
+        algo = "graphic-random-cut" if name == "g" else "kuniform-prob"
+        assert run_cli("run", "--instance", inst_path, "--algo", algo,
+                       "--out", out) == 0
+        doc = json.loads(out.with_suffix(".summary.json").read_text(),
+                         parse_constant=reject)
+        assert doc["feasibility_slack"] == "inf"
+        capsys.readouterr()
+        assert run_cli("reduce", "--instance", inst_path) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["feasibility_slack"] == "inf"
 
 
 def test_verify_enumerates_a_uniform_instance_once(tmp_path, capsys,

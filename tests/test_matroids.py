@@ -7,6 +7,8 @@ import pytest
 
 from matprophet import (EnumerationCapError, GraphicMatroid, PartitionMatroid,
                         UniformMatroid)
+from matprophet.generate import (random_graph, random_partition_instance,
+                                 random_polytope_point)
 from matprophet.matroids import POLYTOPE_CAP
 
 
@@ -17,6 +19,26 @@ def k3():
 def k4():
     edges = list(itertools.combinations(range(4), 2))
     return GraphicMatroid(4, edges)
+
+
+def random_matroids(rng, max_n):
+    """One random graphic, uniform and partition matroid, each with at
+    most max_n elements."""
+    nv = int(rng.integers(2, 7))
+    n = int(rng.integers(max_n // 2, max_n + 1))
+    part = random_partition_instance(rng, max_blocks=4,
+                                     max_block_size=max_n // 4).matroid
+    return [random_graph(rng, nv, n, allow_parallel=True),
+            UniformMatroid(n, int(rng.integers(0, n + 1))), part]
+
+
+def greedy_rank(m, elements):
+    """Rank through the is_independent oracle alone."""
+    picked = []
+    for e in elements:
+        if m.is_independent(picked + [e]):
+            picked.append(e)
+    return len(picked)
 
 
 def check_axioms(m):
@@ -80,6 +102,20 @@ def test_graphic_rank_and_span():
     assert m.rank([0, 1, 2]) == 2
 
 
+def test_rank_matches_bruteforce():
+    rng = np.random.default_rng(8)
+    mats = [k4(), GraphicMatroid(3, [(0, 1), (0, 1), (1, 2)])]
+    for _ in range(3):
+        mats += random_matroids(rng, 8)
+    for m in mats:
+        for _ in range(15):
+            s = rng.permutation(m.n)[:rng.integers(0, m.n + 1)].tolist()
+            best = max(len(c) for r in range(len(s) + 1)
+                       for c in itertools.combinations(s, r)
+                       if m.is_independent(c))
+            assert m.rank(s) == best
+
+
 def test_partition_validation():
     with pytest.raises(ValueError):
         PartitionMatroid([(0, 1), (1, 2)], [1, 1])  # overlap
@@ -135,15 +171,52 @@ def test_polytope_membership_k3():
 
 
 def test_polytope_slack_bruteforce():
+    # the brute force adds p(S) left to right in index order, as the
+    # sweep does, so the two agree exactly
     rng = np.random.default_rng(5)
-    m = GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
-    for _ in range(40):
-        p = rng.random(m.n)
-        want = min(
-            m.rank(s) - sum(p[e] for e in s)
-            for r in range(1, m.n + 1)
-            for s in itertools.combinations(range(m.n), r))
-        assert m.polytope_slack(p) == pytest.approx(want, abs=1e-12)
+    cases = [(GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]),
+              40)]
+    for _ in range(4):
+        cases += [(m, 4) for m in random_matroids(rng, 12)]
+    for m, count in cases:
+        subsets = [s for r in range(1, m.n + 1)
+                   for s in itertools.combinations(range(m.n), r)]
+        ranks = [greedy_rank(m, s) for s in subsets]
+        for j in range(count):
+            p = random_polytope_point(m, rng) if j % 2 else rng.random(m.n)
+            want = min(r - sum(p[e] for e in s)
+                       for r, s in zip(ranks, subsets))
+            assert m.polytope_slack(p) == want
+    for m in (GraphicMatroid(3, []), UniformMatroid(0, 0)):
+        assert m.polytope_slack(np.zeros(0)) == np.inf
+
+
+def loop_polytope_point(matroid, rng, mixtures=8):
+    """random_polytope_point through a loop over is_independent."""
+    indicators = []
+    for _ in range(mixtures):
+        order = rng.permutation(matroid.n)
+        picked = []
+        for e in order:
+            if matroid.is_independent(picked + [int(e)]):
+                picked.append(int(e))
+        row = np.zeros(matroid.n)
+        row[picked] = 1.0
+        indicators.append(row)
+    weights = rng.dirichlet(np.ones(mixtures))
+    return np.einsum("m,mn->n", weights, np.array(indicators))
+
+
+def test_random_polytope_point_matches_loop():
+    rng = np.random.default_rng(12)
+    mats = [k4(), GraphicMatroid(3, []), UniformMatroid(0, 0)]
+    for _ in range(3):
+        mats += random_matroids(rng, 12)
+    for seed, m in enumerate(mats):
+        got = random_polytope_point(m, np.random.default_rng(seed))
+        want = loop_polytope_point(m, np.random.default_rng(seed))
+        assert np.array_equal(got, want)
+        assert m.in_polytope(got)
 
 
 def test_polytope_cap():
