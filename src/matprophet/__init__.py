@@ -17,16 +17,14 @@ from .engine import (ArrivalOrder, FixedRuleAlgorithm, RatioSummary,
                      monte_carlo_ratio, safe_ratio)
 from .errors import EnumerationCapError, VerificationError
 from .graphic import (Cut, GraphicDerandomizedCut, GraphicRandomCut,
-                      Orientation, blocking_probability, build_thresholds,
-                      consideration_set, cut_bound_exact, cut_objective,
-                      derandomize_cut, orient_low_indegree, sample_cut)
+                      Orientation, blocking_probability, consideration_set,
+                      cut_bound_exact, cut_objective, derandomize_cut,
+                      orient_low_indegree, sample_cut)
 from .io import (LoadedInstance, bernoulli_to_dict, instance_to_dict,
                  load_instance, parse_instance, save_instance)
 from .matroids import (GraphicMatroid, Matroid, PartitionMatroid,
                        UniformMatroid, scale)
-from .reduction import (BernoulliInstance, CoupledSample, MCEstimate,
-                        ProphetInstance, ReductionResult, coupled_sample,
-                        ex_ante_reduce, prophet_value_exact, prophet_value_mc,
-                        worst_case_order)
+from .reduction import (BernoulliInstance, ProphetInstance, ReductionResult,
+                        ex_ante_reduce, prophet_value_exact, worst_case_order)
 
 __version__ = "0.1.0"

@@ -11,14 +11,14 @@ so each accepted item contributes its conditional value given a pass.
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm
 
 from . import kernels
 from .errors import EnumerationCapError
-from .reduction import (ex_ante_reduce, resolve_enum_cap, sample_value_matrix,
+from .reduction import (check_enum_cap, ex_ante_reduce, sample_value_matrix,
                         values_from_uniform, worst_case_order)
 
 LOW_SAMPLE_FLOOR = 1000
@@ -85,9 +85,6 @@ class TrialReport:
     accepted: tuple
     alg_value: float
     order_tag: str
-    values: np.ndarray = field(repr=False, default=None)
-    atom_coins: np.ndarray = field(repr=False, default=None)
-    prophet_value: float | None = None
 
 
 @dataclass(frozen=True)
@@ -146,28 +143,20 @@ class FixedRuleAlgorithm:
         return self._reduction
 
 
-def execute_online(inst, rule, order, values, atom_coins=None, rng=None):
+def execute_online(inst, rule, order, values, atom_coins):
     """Run one arrival sequence: accept an item when it passes its threshold
     and stays independent alongside everything accepted so far."""
-    if isinstance(order, ArrivalOrder):
-        perm, tag = order.perm, order.tag
-    else:
+    if not isinstance(order, ArrivalOrder):
         order = ArrivalOrder(order)
-        perm, tag = order.perm, order.tag
+    perm = order.perm
     values = np.asarray(values, dtype=float)
     if values.shape != (inst.n,):
         raise ValueError("realization size does not match the instance")
-    if atom_coins is None:
-        if rng is None:
-            raise ValueError("need atom coins or an rng to draw them")
-        atom_coins = rng.random(inst.n)
-    atom_coins = np.asarray(atom_coins, dtype=float)
-    passing = rule.passes(values, atom_coins)
+    passing = rule.passes(values, np.asarray(atom_coins, dtype=float))
     totals, accepted = kernels.batched_greedy(inst.matroid, perm,
                                               passing[None], values[None])
     picked = tuple(int(e) for e in perm if accepted[0, e])
-    return TrialReport(picked, float(totals[0]), tag,
-                       values=values, atom_coins=atom_coins)
+    return TrialReport(picked, float(totals[0]), order.tag)
 
 
 def rule_pass_profile(inst, rule):
@@ -185,26 +174,19 @@ def expected_rule_value(inst, rule, order, cap=None):
         ArrivalOrder(order).perm
     r, tau = rule_pass_profile(inst, rule)
     cons = perm[r[perm] > 0.0]
-    limit = resolve_enum_cap(cap)
-    if 2 ** len(cons) > limit:
-        raise EnumerationCapError(
-            f"2^{len(cons)} pass patterns exceed the enumeration cap {limit}")
+    check_enum_cap(2 ** len(cons), f"2^{len(cons)} pass patterns", cap)
     return kernels.rule_value_exact(inst.matroid, cons, r, tau)
 
 
-def resolve_order(inst, order, algo=None, rng=None):
-    """Normalize an order argument: ArrivalOrder, permutation array,
-    'worst_case' (priced values ascending), or 'random'."""
+def resolve_order(inst, order, algo=None):
+    """Normalize a fixed order argument: ArrivalOrder, permutation array or
+    'worst_case' (priced values ascending)."""
     if isinstance(order, ArrivalOrder):
         return order
     if isinstance(order, str):
         if order == "worst_case":
             red = algo.reduction if algo is not None else ex_ante_reduce(inst)
             return ArrivalOrder(worst_case_order(red.t), "worst-case")
-        if order == "random":
-            if rng is None:
-                raise ValueError("random order needs an rng")
-            return ArrivalOrder(rng.permutation(inst.n), "random")
         raise ValueError(f"unknown order policy {order!r}")
     return ArrivalOrder(np.asarray(order))
 

@@ -16,9 +16,8 @@ import numpy as np
 
 from . import kernels
 from .engine import FixedRuleAlgorithm, ThresholdRule
-from .errors import EnumerationCapError
 from .matroids import GraphicMatroid, scale
-from .reduction import ex_ante_reduce, resolve_enum_cap
+from .reduction import check_enum_cap, ex_ante_reduce
 
 QUALIFY_TOL = 1e-12
 
@@ -39,9 +38,6 @@ class Orientation:
         tails = np.where(self.heads == self.ev, self.eu, self.ev)
         tails.flags.writeable = False
         return tails
-
-    def incoming(self, v):
-        return tuple(int(i) for i in np.flatnonzero(self.heads == v))
 
     def crossing(self, in_a):
         """Mask of the edges crossing from side A (tail) to side B (head),
@@ -126,10 +122,8 @@ def blocking_probability(g, probs, subset, i, mode="exact", trials=10_000,
     members = np.array(sorted(set(int(e) for e in subset) - {int(i)}),
                        dtype=np.int64)
     if mode == "exact":
-        limit = resolve_enum_cap(cap)
-        if 2 ** members.size > limit:
-            raise EnumerationCapError(
-                f"2^{members.size} activation patterns exceed the cap {limit}")
+        check_enum_cap(2 ** members.size,
+                       f"2^{members.size} activation patterns", cap)
         return kernels.connect_probability(g, members, p, int(i))
     if mode != "mc":
         raise ValueError(f"unknown mode {mode!r}")
@@ -160,10 +154,7 @@ def cut_objective(g, p_scaled, t, orientation, cut):
 def cut_bound_exact(g, p_scaled, t, orientation, cap=None):
     """Exact expectation of the cut objective over the uniform random cut;
     at least one eighth of sum(p_scaled * t)."""
-    limit = resolve_enum_cap(cap)
-    if 2 ** g.num_vertices > limit:
-        raise EnumerationCapError(
-            f"2^{g.num_vertices} cuts exceed the enumeration cap {limit}")
+    check_enum_cap(2 ** g.num_vertices, f"2^{g.num_vertices} cuts", cap)
     assign = np.full(g.num_vertices, -1, dtype=np.int8)
     return float(kernels.expected_cut_objective(
         g, orientation.heads, np.asarray(p_scaled, dtype=float),
@@ -236,10 +227,7 @@ class GraphicRandomCut(FixedRuleAlgorithm):
 
     def consider_distribution(self):
         nv = self.instance.matroid.num_vertices
-        limit = resolve_enum_cap(self._cap)
-        if 2 ** nv > limit:
-            raise EnumerationCapError(
-                f"2^{nv} cuts exceed the enumeration cap {limit}")
+        check_enum_cap(2 ** nv, f"2^{nv} cuts", self._cap)
         weight = 0.5 ** nv
         for in_a in kernels.subset_rows(nv):
             for considered in self.design.orientation.crossing(in_a):
@@ -259,18 +247,3 @@ class GraphicDerandomizedCut(FixedRuleAlgorithm):
                                    self.design.orientation)
         super().__init__(inst, self.design.rule_for_cut(self.cut),
                          self.design.reduction)
-
-
-def build_thresholds(inst, rng, mode="exact", reduce_trials=100_000, seed=0,
-                     cap=None):
-    """Sample one cut and return (rule, diagnostics)."""
-    algo = GraphicRandomCut(inst, mode=mode, reduce_trials=reduce_trials,
-                            seed=seed, cap=cap)
-    cut = sample_cut(inst.matroid, rng)
-    rule = algo.design.rule_for_cut(cut)
-    considered = consideration_set(algo.design.orientation, cut)
-    return rule, {
-        "design": algo.design,
-        "cut": cut,
-        "considered": considered,
-    }

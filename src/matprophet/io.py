@@ -46,12 +46,16 @@ def _matroid_from_dict(d):
     if not isinstance(d, dict):
         raise ValueError("matroid section must be a JSON object")
     kind = d.get("type")
-    if kind == "graphic":
-        return GraphicMatroid(d["num_vertices"], d["edges"])
-    if kind == "uniform":
-        return UniformMatroid(d["n"], d["k"])
-    if kind == "partition":
-        return PartitionMatroid(d["blocks"], d["capacities"])
+    try:
+        if kind == "graphic":
+            return GraphicMatroid(d["num_vertices"], d["edges"])
+        if kind == "uniform":
+            return UniformMatroid(d["n"], d["k"])
+        if kind == "partition":
+            return PartitionMatroid(d["blocks"], d["capacities"])
+    except ValueError as exc:
+        # the constructors name the offending field; say whose it is
+        raise ValueError(f"matroid {exc}") from exc
     raise ValueError(f"unknown matroid type {kind!r}")
 
 

@@ -8,6 +8,7 @@ and polytope slack all run kernels.batched_greedy.
 """
 
 import itertools
+import operator
 
 import numpy as np
 
@@ -24,13 +25,23 @@ def scale(p, factor):
     return np.asarray(p, dtype=float) * factor
 
 
+def _integer(x, what):
+    """x as an int; anything that is not an integer (3.5, but also 3.0 or
+    "3") is refused instead of truncated. numpy integers pass."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {x!r}") from None
+
+
 class Matroid:
     """Independence oracle plus the derived operations every matroid gets."""
 
     def __init__(self, n):
+        n = _integer(n, "n")
         if n < 0:
             raise ValueError("ground set size must be nonnegative")
-        self.n = int(n)
+        self.n = n
 
     def is_independent(self, elements):
         raise NotImplementedError
@@ -112,11 +123,13 @@ class GraphicMatroid(Matroid):
     (a self-loop is never independent, reject it up front)."""
 
     def __init__(self, num_vertices, edges):
-        edges = [(int(u), int(v)) for u, v in edges]
+        num_vertices = _integer(num_vertices, "num_vertices")
+        edges = [(_integer(u, "edge endpoint"), _integer(v, "edge endpoint"))
+                 for u, v in edges]
         super().__init__(len(edges))
         if num_vertices < 0:
             raise ValueError("vertex count must be nonnegative")
-        self.num_vertices = int(num_vertices)
+        self.num_vertices = num_vertices
         for u, v in edges:
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise ValueError(f"edge ({u}, {v}) has an endpoint out of range")
@@ -153,9 +166,10 @@ class UniformMatroid(Matroid):
 
     def __init__(self, n, k):
         super().__init__(n)
-        if not 0 <= k <= n:
+        k = _integer(k, "k")
+        if not 0 <= k <= self.n:
             raise ValueError(f"capacity k={k} must satisfy 0 <= k <= n={n}")
-        self.k = int(k)
+        self.k = k
 
     def is_independent(self, elements):
         return len(self._check_elements(elements)) <= self.k
@@ -169,13 +183,14 @@ class PartitionMatroid(Matroid):
     """Per-block capacities over a partition of the ground set."""
 
     def __init__(self, blocks, capacities):
-        blocks = tuple(tuple(int(e) for e in b) for b in blocks)
+        blocks = tuple(tuple(_integer(e, "block member") for e in b)
+                       for b in blocks)
         n = sum(len(b) for b in blocks)
         super().__init__(n)
         seen = sorted(itertools.chain.from_iterable(blocks))
         if seen != list(range(n)):
             raise ValueError("blocks must partition 0..n-1 exactly")
-        caps = [int(c) for c in capacities]
+        caps = [_integer(c, "capacity") for c in capacities]
         if len(caps) != len(blocks):
             raise ValueError("need one capacity per block")
         if any(c < 0 for c in caps):

@@ -22,14 +22,17 @@ from .matroids import Matroid, POLYTOPE_CAP
 DEFAULT_ENUM_CAP = 1 << 20
 
 
-def resolve_enum_cap(cap=None):
-    """Explicit cap, else MATPROPHET_ENUM_CAP, else the default."""
-    if cap is not None:
-        return int(cap)
-    env = os.environ.get("MATPROPHET_ENUM_CAP", "").strip()
-    if env:
-        return int(env)
-    return DEFAULT_ENUM_CAP
+def check_enum_cap(count, what, cap=None):
+    """Refuse an exact computation of `count` states (`what` names them)
+    above the enumeration cap: the explicit cap, else MATPROPHET_ENUM_CAP,
+    else the default."""
+    if cap is None:
+        cap = os.environ.get("MATPROPHET_ENUM_CAP", "").strip() \
+            or DEFAULT_ENUM_CAP
+    limit = int(cap)
+    if count > limit:
+        raise EnumerationCapError(
+            f"{what} exceed the enumeration cap {limit}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,13 +124,6 @@ class ReductionResult:
         return self.instance.bound()
 
 
-@dataclass(frozen=True)
-class MCEstimate:
-    mean: float
-    stderr: float
-    trials: int
-
-
 def _support_arrays(inst):
     offsets = np.zeros(inst.n + 1, dtype=np.int64)
     for i, d in enumerate(inst.dists):
@@ -139,16 +135,9 @@ def _support_arrays(inst):
     return offsets, values, probs
 
 
-def _check_outcome_cap(inst, cap):
-    count = inst.outcome_count()
-    limit = resolve_enum_cap(cap)
-    if count > limit:
-        raise EnumerationCapError(
-            f"{count} product outcomes exceed the enumeration cap {limit}")
-
-
 def _exact_opt_and_membership(inst, cap=None):
-    _check_outcome_cap(inst, cap)
+    count = inst.outcome_count()
+    check_enum_cap(count, f"{count} product outcomes", cap)
     offsets, values, probs = _support_arrays(inst)
     return kernels.exact_reduce(inst.matroid, offsets, values, probs)
 
@@ -168,7 +157,8 @@ def sample_value_matrix(inst, rng, trials):
 
 
 def _mc_opt_and_membership(inst, trials, seed):
-    """(prophet value estimate, membership counts) over `trials` draws."""
+    """(prophet value mean, its stderr, membership counts) over `trials`
+    draws."""
     if trials <= 0:
         raise ValueError("need a positive trial count")
     rng = np.random.default_rng(seed)
@@ -184,19 +174,13 @@ def _mc_opt_and_membership(inst, trials, seed):
         total_sq += float(opts @ opts)
     mean = total / trials
     var = max(total_sq / trials - mean ** 2, 0.0)
-    return MCEstimate(mean, math.sqrt(var / trials), trials), counts
+    return mean, math.sqrt(var / trials), counts
 
 
 def prophet_value_exact(inst, cap=None):
     """Expected offline max-weight value, by outcome enumeration."""
     opt, _ = _exact_opt_and_membership(inst, cap)
     return opt
-
-
-def prophet_value_mc(inst, trials, seed=0):
-    """Monte Carlo estimate of the offline expectation."""
-    est, _ = _mc_opt_and_membership(inst, trials, seed)
-    return est
 
 
 def ex_ante_reduce(inst, mode="exact", trials=100_000, seed=0, cap=None):
@@ -211,8 +195,8 @@ def ex_ante_reduce(inst, mode="exact", trials=100_000, seed=0, cap=None):
         opt, p = _exact_opt_and_membership(inst, cap)
         stderr, used_trials = None, 0
     elif mode == "mc":
-        est, counts = _mc_opt_and_membership(inst, trials, seed)
-        opt, stderr, used_trials = est.mean, est.stderr, trials
+        opt, stderr, counts = _mc_opt_and_membership(inst, trials, seed)
+        used_trials = trials
         p = counts / trials
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -221,30 +205,6 @@ def ex_ante_reduce(inst, mode="exact", trials=100_000, seed=0, cap=None):
                   for d, pi in zip(inst.dists, p)])
     bern = BernoulliInstance(inst.matroid, p, t)
     return ReductionResult(bern, mode, used_trials, opt, stderr)
-
-
-@dataclass(frozen=True)
-class CoupledSample:
-    """One joint draw of the original realization and its Bernoulli shadow:
-    the shadow item is active exactly when the original value clears the
-    quantile event of mass p_i."""
-
-    values: np.ndarray
-    active: np.ndarray
-    shadow_values: np.ndarray
-
-
-def coupled_sample(inst, bern, rng):
-    if bern.n != inst.n:
-        raise ValueError("instance and reduction sizes differ")
-    values = np.empty(inst.n)
-    active = np.zeros(inst.n, dtype=bool)
-    for i, d in enumerate(inst.dists):
-        x = float(d.sample(rng))
-        values[i] = x
-        thr, q = d.quantile_threshold(bern.p[i])
-        active[i] = x > thr or (x == thr and rng.random() < q)
-    return CoupledSample(values, active, np.where(active, bern.t, 0.0))
 
 
 def worst_case_order(t):

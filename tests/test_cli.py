@@ -103,6 +103,37 @@ def test_malformed_instance_exits_cleanly(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_non_integral_matroid_sizes_exit_cleanly(tmp_path, capsys):
+    # int() would truncate each of these to a matroid the file never
+    # declared (the first one then indexed past its vertices)
+    docs = [
+        ({"type": "graphic", "num_vertices": 3.5, "edges": [[0, 3]]},
+         "num_vertices"),
+        ({"type": "uniform", "n": 2, "k": 1.5}, "k"),
+        ({"type": "partition", "blocks": [[0, 1]], "capacities": [1.7]},
+         "capacity"),
+    ]
+    path = tmp_path / "bad.json"
+    for matroid, field in docs:
+        n = len(matroid.get("edges", [[0, 1], [1, 2]]))
+        path.write_text(json.dumps({"version": 1, "matroid": matroid,
+                                    "bernoulli": {"p": [0.5] * n,
+                                                  "t": [1.0] * n}}))
+        for argv in (["reduce"], ["run", "--algo", "graphic-random-cut"]):
+            assert run_cli(*argv, "--instance", path,
+                           "--out", tmp_path / "o") == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: matroid {field} must be an "
+                                  "integer")
+            assert "Traceback" not in err
+    # numpy integers are integers
+    g = GraphicMatroid(np.int64(3), [(np.int32(0), np.int64(2))])
+    assert (g.num_vertices, g.edges) == (3, ((0, 2),))
+    assert UniformMatroid(np.int64(3), np.int8(2)).k == 2
+    p = PartitionMatroid([np.arange(2)], [np.int64(1)])
+    assert (p.blocks, p.capacities) == (((0, 1),), (1,))
+
+
 def run_cli(*argv):
     return main([str(a) for a in argv])
 

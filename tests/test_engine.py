@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from matprophet import kernels
 from matprophet import (ArrivalOrder, FixedRuleAlgorithm, GraphicMatroid,
                         GraphicRandomCut, ProphetInstance, ThresholdRule,
                         UniformMatroid, adversarial_order_search,
@@ -15,7 +16,7 @@ from matprophet import (ArrivalOrder, FixedRuleAlgorithm, GraphicMatroid,
 from matprophet.distributions import DiscreteDistribution
 from matprophet.errors import EnumerationCapError
 from matprophet.generate import random_graphic_instance
-from matprophet.reduction import sample_value_matrix
+from matprophet.reduction import sample_value_matrix, values_from_uniform
 
 coin = DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
 
@@ -99,14 +100,13 @@ def test_expected_rule_value_matches_simulation():
     rule = ThresholdRule(thr, atom)
     order = ArrivalOrder(np.arange(inst.n))
     exact = expected_rule_value(inst, rule, order)
-    total = 0.0
     trials = 200_000
     sim_rng = np.random.default_rng(11)
-    for _ in range(trials):
-        values = np.array([d.sample(sim_rng) for d in inst.dists])
-        total += execute_online(inst, rule, order, values,
-                                rng=sim_rng).alg_value
-    assert total / trials == pytest.approx(exact, abs=0.02)
+    values = values_from_uniform(inst, sim_rng.random((trials, inst.n)))
+    passing = rule.passes(values, sim_rng.random((trials, inst.n)))
+    totals, _ = kernels.batched_greedy(inst.matroid, order.perm, passing,
+                                       values)
+    assert totals.mean() == pytest.approx(exact, abs=0.02)
 
 
 def test_exact_value_matches_mc_ratio():
@@ -189,9 +189,10 @@ def test_accepted_sets_are_independent():
     for _ in range(200):
         rule = algo.build(rng)
         values = np.array([d.sample(rng) for d in inst.dists])
-        rep = execute_online(inst, rule, np.arange(inst.n), values, rng=rng)
+        coins = rng.random(inst.n)
+        rep = execute_online(inst, rule, np.arange(inst.n), values, coins)
         assert inst.matroid.is_independent(rep.accepted)
-        passing = rule.passes(rep.values, rep.atom_coins)
+        passing = rule.passes(values, coins)
         assert all(passing[e] for e in rep.accepted)
 
 

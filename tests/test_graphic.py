@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from matprophet import (ArrivalOrder, Cut, FixedRuleAlgorithm,
-                        GraphicMatroid, ProphetInstance, blocking_probability,
-                        build_thresholds, consideration_set, cut_bound_exact,
-                        cut_objective, derandomize_cut, ex_ante_reduce,
-                        expected_rule_value, expected_value_exact,
-                        monte_carlo_ratio, orient_low_indegree, sample_cut,
-                        worst_case_order)
-from matprophet.distributions import DiscreteDistribution
+                        GraphicMatroid, blocking_probability,
+                        consideration_set, cut_bound_exact, cut_objective,
+                        derandomize_cut, ex_ante_reduce, expected_rule_value,
+                        expected_value_exact, monte_carlo_ratio,
+                        orient_low_indegree, sample_cut, worst_case_order)
 from matprophet.generate import random_graphic_instance
 from matprophet.graphic import GraphicDerandomizedCut, GraphicRandomCut
 from matprophet.matroids import scale
@@ -25,7 +23,6 @@ def test_orientation_path():
     assert o.heads.tolist() == [0, 1]
     assert o.tails.tolist() == [1, 2]
     assert o.in_mass([0.25, 0.25]).tolist() == [0.25, 0.25, 0.0]
-    assert o.incoming(0) == (0,)
     assert o.outgoing(1) == (0,)
 
 
@@ -171,15 +168,6 @@ def test_rule_for_cut_opens_only_crossing_edges():
         r = (d.prob_above(rule.thresholds[i])
              + rule.atom_pass[i] * d.prob_at(rule.thresholds[i]))
         assert r == pytest.approx(algo.design.p_scaled[i], abs=1e-12)
-
-
-def test_build_thresholds_diagnostics():
-    rng = np.random.default_rng(43)
-    coin = DiscreteDistribution([0.0, 4.0], [0.5, 0.5])
-    inst = ProphetInstance(GraphicMatroid(2, [(0, 1)]), [coin])
-    rule, diag = build_thresholds(inst, rng)
-    assert set(diag) == {"design", "cut", "considered"}
-    assert rule.thresholds.shape == (1,)
 
 
 def rule_bytes(rule):

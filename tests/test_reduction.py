@@ -1,16 +1,20 @@
 """Ex-ante reduction: offline expectations, membership probabilities,
-prices, feasibility, and the coupled Bernoulli view."""
+prices, feasibility, the coupled Bernoulli view and the enumeration cap."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from matprophet import (BernoulliInstance, GraphicMatroid, ProphetInstance,
-                        UniformMatroid, coupled_sample, ex_ante_reduce,
-                        prophet_value_exact, prophet_value_mc,
-                        worst_case_order)
+from matprophet import (BernoulliInstance, GraphicMatroid, GraphicRandomCut,
+                        ProphetInstance, ThresholdRule, UniformMatroid,
+                        blocking_probability, cut_bound_exact, ex_ante_reduce,
+                        expected_rule_value, orient_low_indegree,
+                        prophet_value_exact, worst_case_order)
+from matprophet import kernels
 from matprophet.distributions import DiscreteDistribution
+from matprophet.errors import EnumerationCapError
 from matprophet.generate import (random_graphic_instance,
                                  random_partition_instance,
                                  random_uniform_instance)
@@ -109,11 +113,11 @@ def test_mc_reduce_close_to_exact():
 
 
 def test_prophet_value_mc():
-    inst = k3_coins()
-    est = prophet_value_mc(inst, trials=200_000, seed=9)
-    assert est.mean == pytest.approx(1.375, abs=4 * est.stderr)
-    assert est.trials == 200_000
-    assert est.stderr > 0.0
+    red = ex_ante_reduce(k3_coins(), mode="mc", trials=200_000, seed=9)
+    assert red.prophet_value == pytest.approx(1.375,
+                                              abs=4 * red.prophet_stderr)
+    assert red.trials == 200_000
+    assert red.prophet_stderr > 0.0
 
 
 def test_bernoulli_on_triangle():
@@ -154,27 +158,31 @@ def test_worst_case_order_is_stable_ascending():
 
 
 def test_coupled_sample_matches_quantile():
+    # the coupled Bernoulli view: item i is active exactly when its value
+    # clears the quantile event of mass p_i, i.e. passes the quantile rule
     rng = np.random.default_rng(21)
-    inst = random_uniform_instance(rng, max_n=4)
-    red = ex_ante_reduce(inst)
-    bern = BernoulliInstance(inst.matroid, red.p, red.t)
-    hits = np.zeros(inst.n)
-    gains = np.zeros(inst.n)
+    instances = [random_uniform_instance(rng, max_n=4), k3_coins(),
+                 random_uniform_instance(rng, max_n=6, k=2),
+                 random_partition_instance(rng)]
     trials = 200_000
-    for _ in range(trials):
-        cs = coupled_sample(inst, bern, rng)
-        hits += cs.active
-        gains += np.where(cs.active, cs.values, 0.0)
-    hits /= trials
-    gains /= trials
-    # an item is active with probability p_i, and its value on active
-    # trials averages to t_i, so the coupled view prices items fairly
-    assert hits == pytest.approx(red.p, abs=0.01)
-    assert gains == pytest.approx(red.p * red.t, abs=0.02)
+    for inst in instances:
+        red = ex_ante_reduce(inst)
+        thr = np.empty(inst.n)
+        atom = np.empty(inst.n)
+        for i, d in enumerate(inst.dists):
+            thr[i], atom[i] = d.quantile_threshold(red.p[i])
+        values = values_from_uniform(inst, rng.random((trials, inst.n)))
+        active = ThresholdRule(thr, atom).passes(
+            values, rng.random((trials, inst.n)))
+        hits = active.mean(axis=0)
+        gains = np.where(active, values, 0.0).mean(axis=0)
+        # an item is active with probability p_i, and its value on active
+        # trials averages to t_i, so the coupled view prices items fairly
+        assert hits == pytest.approx(red.p, abs=0.01)
+        assert gains == pytest.approx(red.p * red.t, abs=0.02)
 
 
 def test_outcome_cap():
-    from matprophet.errors import EnumerationCapError
     rng = np.random.default_rng(0)
     inst = random_uniform_instance(rng, max_n=4)
     with pytest.raises(EnumerationCapError):
@@ -205,9 +213,15 @@ def test_reduction_keeps_its_prophet_value():
         red = ex_ante_reduce(inst)
         assert red.prophet_value == prophet_value_exact(inst)
         assert red.prophet_stderr is None
+        # the mc reduction against one block of 3000 draws, worked here
         mc = ex_ante_reduce(inst, mode="mc", trials=3000, seed=case)
-        est = prophet_value_mc(inst, trials=3000, seed=case)
-        assert (mc.prophet_value, mc.prophet_stderr) == (est.mean, est.stderr)
+        values = sample_value_matrix(inst, np.random.default_rng(case), 3000)
+        opts, best = kernels.mc_max_weight(inst.matroid, values)
+        mean = float(opts.sum()) / 3000
+        var = max(float(opts @ opts) / 3000 - mean ** 2, 0.0)
+        assert mc.prophet_value == mean
+        assert mc.prophet_stderr == math.sqrt(var / 3000)
+        assert np.array_equal(mc.p, np.clip(best.sum(axis=0) / 3000, 0, 1))
 
 
 def test_feasibility_slack_is_computed_when_read(monkeypatch):
@@ -232,3 +246,26 @@ def test_feasibility_slack_is_computed_when_read(monkeypatch):
                           [DiscreteDistribution.constant(1.0)] * n)
     assert ex_ante_reduce(big).feasibility_slack is None
     assert calls == [1]
+
+
+def test_every_exact_enumeration_checks_one_cap(monkeypatch):
+    inst = k3_coins()
+    g = inst.matroid
+    orientation = orient_low_indegree(g, np.full(3, 0.125))
+    algo = GraphicRandomCut(inst)
+    monkeypatch.setenv("MATPROPHET_ENUM_CAP", "2")
+    sites = [
+        (lambda: prophet_value_exact(inst), "8 product outcomes"),
+        (lambda: expected_rule_value(inst, ThresholdRule(np.ones(3),
+                                                         np.ones(3)),
+                                     [0, 1, 2]), "2\\^3 pass patterns"),
+        (lambda: blocking_probability(g, np.full(3, 0.5), [0, 1, 2], 2),
+         "2\\^2 activation patterns"),
+        (lambda: cut_bound_exact(g, np.full(3, 0.125), np.ones(3),
+                                 orientation), "2\\^3 cuts"),
+        (lambda: next(algo.consider_distribution()), "2\\^3 cuts"),
+    ]
+    for call, what in sites:
+        with pytest.raises(EnumerationCapError,
+                           match=f"^{what} exceed the enumeration cap 2$"):
+            call()
