@@ -313,7 +313,7 @@ def _verify_instance(loaded, cap):
         target = float(p_scaled @ red.t) / 8.0
         yield ("random-cut-bound", bound >= target - tol, bound - target, "")
 
-        best = derandomize_cut(g, p_scaled, red.t, o)
+        best = derandomize_cut(g, p_scaled, red.t, o, cap=cap)
         best_obj = cut_objective(g, p_scaled, red.t, o, best)
         yield ("derandomized-cut", best_obj >= bound - tol, best_obj - bound,
                "")

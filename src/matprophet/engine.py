@@ -194,12 +194,17 @@ def resolve_order(inst, order, algo=None):
 def expected_value_exact(inst, algo, order="worst_case", cap=None):
     """Exact expected online value, averaging over the algorithm's
     considered sets (e.g. the crossing edges of every cut) and all pass
-    patterns."""
+    patterns. A considered set's rule value is computed once, however
+    many of the sets (cuts) produce it."""
     order = resolve_order(inst, order, algo)
+    values = {}
     total = 0.0
     for prob, consider in algo.consider_distribution():
-        total += prob * expected_rule_value(inst, algo.rule.opened_on(consider),
-                                            order, cap)
+        key = consider.tobytes()
+        if key not in values:
+            values[key] = expected_rule_value(
+                inst, algo.rule.opened_on(consider), order, cap)
+        total += prob * values[key]
     return total
 
 

@@ -161,21 +161,29 @@ def cut_bound_exact(g, p_scaled, t, orientation, cap=None):
         np.asarray(t, dtype=float), assign))
 
 
-def derandomize_cut(g, p_scaled, t, orientation):
+def derandomize_cut(g, p_scaled, t, orientation, cap=None):
     """Fix vertex sides one at a time by conditional expectations; the
-    resulting cut's objective is at least the random-cut expectation."""
-    p = np.asarray(p_scaled, dtype=float)
-    tv = np.asarray(t, dtype=float)
-    assign = np.full(g.num_vertices, -1, dtype=np.int8)
-    for v in range(g.num_vertices):
-        assign[v] = 1
-        with_a = kernels.expected_cut_objective(g, orientation.heads, p, tv,
-                                                assign)
-        assign[v] = 0
-        with_b = kernels.expected_cut_objective(g, orientation.heads, p, tv,
-                                                assign)
-        assign[v] = 1 if with_a >= with_b else 0
-    return Cut(assign == 1)
+    resulting cut's objective is at least the random-cut expectation.
+
+    Every cut's objective comes from one table, indexed by the mask with
+    bit j set when vertex j is on side A. Fixing vertex v compares the
+    averages over the completions of vertices v+1.., summed in mask order.
+    """
+    nv = g.num_vertices
+    check_enum_cap(2 ** nv, f"2^{nv} cuts", cap)
+    table = kernels.cut_objectives(
+        g, orientation.heads, np.asarray(p_scaled, dtype=float),
+        np.asarray(t, dtype=float),
+        np.concatenate(list(kernels.subset_rows(nv))))
+    base = 0
+    for v in range(nv):
+        rest = np.arange(1 << (nv - v - 1)) << (v + 1)
+        with_a = kernels.running_sum(0.0, table[base + (1 << v) + rest]) \
+            / rest.size
+        with_b = kernels.running_sum(0.0, table[base + rest]) / rest.size
+        if with_a >= with_b:
+            base += 1 << v
+    return Cut((base >> np.arange(nv)) & 1 == 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,6 +252,6 @@ class GraphicDerandomizedCut(FixedRuleAlgorithm):
         self.design = _design(inst, mode, reduce_trials, seed, cap)
         self.cut = derandomize_cut(inst.matroid, self.design.p_scaled,
                                    self.design.reduction.t,
-                                   self.design.orientation)
+                                   self.design.orientation, cap)
         super().__init__(inst, self.design.rule_for_cut(self.cut),
                          self.design.reduction)

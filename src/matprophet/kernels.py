@@ -219,26 +219,42 @@ def connect_probability(m, members, probs, target):
     return float(_spanned(m, np.array([target]), members[None], probs)[0])
 
 
+def _crossing_objective(g, p, t, cross):
+    """sum over the crossing edges `cross` of p*t*(1 - blocking probability
+    within the crossing set); each (edge, activation pattern) pair is one
+    greedy row, up to ENUM_BLOCK rows per call."""
+    k = cross.size
+    if not k:
+        return 0.0
+    others = np.broadcast_to(cross, (k, k))[~np.eye(k, dtype=bool)]
+    b = _spanned(g, cross, others.reshape(k, k - 1), p)
+    return running_sum(0.0, p[cross] * t[cross] * (1.0 - b))
+
+
+def cut_objectives(g, heads, p, t, in_a):
+    """The cut objective of every row of in_a (per vertex: on side A).
+
+    A cut's objective depends only on its crossing set, the edges from side
+    A to side B, so each distinct crossing set is evaluated once and its
+    value shared by every row that produces it.
+    """
+    tails = np.where(heads == g.ev, g.eu, g.ev)
+    cross = in_a[:, tails] & ~in_a[:, heads]
+    sets, inverse = np.unique(cross, axis=0, return_inverse=True)
+    values = np.array([_crossing_objective(g, p, t, np.flatnonzero(row))
+                       for row in sets])
+    return values[inverse.reshape(-1)]
+
+
 def expected_cut_objective(g, heads, p, t, assign):
     """Average cut objective over uniform completions of a partial side
     assignment (per vertex: 1 side A, 0 side B, -1 undecided).
 
-    A cut's objective sums p*t*(1 - blocking probability within the
-    crossing set) over the edges crossing from side A to side B. A cut's
-    (edge, activation pattern) rows go to the primitive together, up to
-    ENUM_BLOCK rows per call. The completions come from subset_rows (bit j
-    puts the j-th undecided vertex on side A), a block of cuts at a time.
+    The completions come from subset_rows (bit j puts the j-th undecided
+    vertex on side A); their objectives are summed in that order.
     """
-    tails = np.where(heads == g.ev, g.eu, g.ev)
     free = np.flatnonzero(assign < 0)
-    total = 0.0
-    for bits in subset_rows(free.size):
-        in_a = np.repeat((assign == 1)[None], len(bits), axis=0)
-        in_a[:, free] = bits
-        for cross in map(np.flatnonzero, in_a[:, tails] & ~in_a[:, heads]):
-            k = cross.size
-            if k:
-                others = np.broadcast_to(cross, (k, k))[~np.eye(k, dtype=bool)]
-                b = _spanned(g, cross, others.reshape(k, k - 1), p)
-                total += running_sum(0.0, p[cross] * t[cross] * (1.0 - b))
-    return total / (1 << free.size)
+    in_a = np.repeat((assign == 1)[None], 1 << free.size, axis=0)
+    in_a[:, free] = np.concatenate(list(subset_rows(free.size)))
+    return running_sum(0.0, cut_objectives(g, heads, p, t, in_a)) \
+        / (1 << free.size)

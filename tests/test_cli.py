@@ -297,6 +297,21 @@ def test_exit_codes(tmp_path):
     assert err.value.code == 1
 
 
+def test_derandomized_cut_is_refused_past_the_cap(tmp_path, capsys,
+                                                  monkeypatch):
+    # a Monte Carlo reduction enumerates nothing, but the conditional
+    # expectations still need every one of the 2^21 cuts
+    monkeypatch.delenv("MATPROPHET_ENUM_CAP", raising=False)
+    inst_path = tmp_path / "g.json"
+    run_cli("gen", "--family", "graphic", "--vertices", 21, "--edges", 21,
+            "--seed", 3, "--out", inst_path)
+    capsys.readouterr()
+    assert run_cli("run", "--instance", inst_path, "--algo",
+                   "graphic-derandomized", "--mode", "mc", "--trials", 1000,
+                   "--out", tmp_path / "o") == 2
+    assert "2^21 cuts exceed the enumeration cap" in capsys.readouterr().err
+
+
 def test_run_rejects_a_level_outside_zero_one(tmp_path, capsys,
                                               monkeypatch):
     inst_path = tmp_path / "u.json"

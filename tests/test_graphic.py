@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from matprophet import (ArrivalOrder, Cut, FixedRuleAlgorithm,
-                        GraphicMatroid, blocking_probability,
+                        GraphicMatroid, Orientation, blocking_probability,
                         consideration_set, cut_bound_exact, cut_objective,
                         derandomize_cut, ex_ante_reduce, expected_rule_value,
                         expected_value_exact, monte_carlo_ratio,
                         orient_low_indegree, sample_cut, worst_case_order)
-from matprophet.generate import random_graphic_instance
+from matprophet import engine, kernels
+from matprophet.generate import random_graph, random_graphic_instance
 from matprophet.graphic import GraphicDerandomizedCut, GraphicRandomCut
 from matprophet.matroids import scale
 
@@ -153,6 +154,73 @@ def test_derandomized_cut_beats_average():
         assert cut_objective(g, p4, red.t, o, cut) >= bound - 1e-9
 
 
+def per_cut_expected_objective(g, heads, p, t, assign):
+    """Reference: the cut objective averaged over the completions of a
+    partial assignment, one cut at a time, skipping empty crossing sets."""
+    tails = np.where(heads == g.ev, g.eu, g.ev)
+    free = np.flatnonzero(assign < 0)
+    total = 0.0
+    for bits in kernels.subset_rows(free.size):
+        in_a = np.repeat((assign == 1)[None], len(bits), axis=0)
+        in_a[:, free] = bits
+        for cross in map(np.flatnonzero, in_a[:, tails] & ~in_a[:, heads]):
+            k = cross.size
+            if k:
+                others = np.broadcast_to(cross, (k, k))[~np.eye(k, dtype=bool)]
+                b = kernels._spanned(g, cross, others.reshape(k, k - 1), p)
+                total += kernels.running_sum(0.0,
+                                             p[cross] * t[cross] * (1.0 - b))
+    return total / (1 << free.size)
+
+
+def per_vertex_derandomized_cut(g, p, t, orientation):
+    """Reference: conditional expectations recomputed for every vertex."""
+    assign = np.full(g.num_vertices, -1, dtype=np.int8)
+    for v in range(g.num_vertices):
+        assign[v] = 1
+        with_a = per_cut_expected_objective(g, orientation.heads, p, t, assign)
+        assign[v] = 0
+        with_b = per_cut_expected_objective(g, orientation.heads, p, t, assign)
+        assign[v] = 1 if with_a >= with_b else 0
+    return assign == 1
+
+
+def cut_cases():
+    """Graphs with random orientations: edgeless, 0- and 1-vertex, parallel
+    edges, isolated vertices, then random multigraphs. Every other graph
+    has equal weights on all edges, so the derandomised cut meets exact
+    ties that only the summation order breaks."""
+    rng = np.random.default_rng(71)
+    graphs = [GraphicMatroid(0, []), GraphicMatroid(1, []),
+              GraphicMatroid(4, []), GraphicMatroid(2, [(0, 1)] * 3),
+              GraphicMatroid(5, [(0, 1), (0, 1), (1, 2), (0, 2), (1, 2)])]
+    for _ in range(30):
+        nv = int(rng.integers(2, 7))
+        graphs.append(random_graph(rng, nv, int(rng.integers(1, 10)),
+                                   allow_parallel=True))
+    for i, g in enumerate(graphs):
+        heads = np.where(rng.random(g.n) < 0.5, g.eu, g.ev)
+        o = Orientation(g.num_vertices, g.eu, g.ev, heads)
+        if i % 2:
+            yield g, o, np.full(g.n, 0.3), np.full(g.n, 1.7)
+        else:
+            yield g, o, rng.uniform(0.0, 0.5, g.n), rng.uniform(0, 10, g.n)
+
+
+def test_crossing_set_reuse_is_bit_identical():
+    for g, o, p, t in cut_cases():
+        nv = g.num_vertices
+        undecided = np.full(nv, -1, dtype=np.int8)
+        assert cut_bound_exact(g, p, t, o) == \
+            per_cut_expected_objective(g, o.heads, p, t, undecided)
+        for bits in itertools.product((0, 1), repeat=nv):
+            assign = np.array(bits, dtype=np.int8)
+            assert cut_objective(g, p, t, o, Cut(assign == 1)) == \
+                per_cut_expected_objective(g, o.heads, p, t, assign)
+        assert derandomize_cut(g, p, t, o).in_a.tolist() == \
+            per_vertex_derandomized_cut(g, p, t, o).tolist()
+
+
 def test_rule_for_cut_opens_only_crossing_edges():
     rng = np.random.default_rng(41)
     inst = random_graphic_instance(rng, max_vertices=5, max_edges=7)
@@ -174,19 +242,36 @@ def rule_bytes(rule):
     return rule.thresholds.tobytes(), rule.atom_pass.tobytes()
 
 
-def test_exact_value_averages_every_cut_rule():
+def test_exact_value_averages_every_cut_rule(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return expected_rule_value(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "expected_rule_value", counted)
     rng = np.random.default_rng(59)
+    cuts = distinct = 0
     for _ in range(30):
         inst = random_graphic_instance(rng, max_vertices=5, max_edges=7)
         algo = GraphicRandomCut(inst)
         nv = inst.matroid.num_vertices
         order = ArrivalOrder(worst_case_order(algo.reduction.t), "worst-case")
         want = 0.0
+        crossing_sets = set()
         for bits in itertools.product((False, True), repeat=nv):
             cut = Cut(np.array(bits[::-1]))  # vertex 0 is the low bit
             rule = algo.design.rule_for_cut(cut)
             want += 0.5 ** nv * expected_rule_value(inst, rule, order)
+            crossing_sets.add(algo.design.orientation.crossing(
+                cut.in_a).tobytes())
+        calls.clear()
         assert expected_value_exact(inst, algo) == want
+        # one rule value per distinct crossing set, not one per cut
+        assert len(calls) == len(crossing_sets)
+        cuts += 2 ** nv
+        distinct += len(crossing_sets)
+    assert distinct < cuts
 
 
 def test_build_draws_the_cut_sample_cut_draws():
