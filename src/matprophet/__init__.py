@@ -16,10 +16,9 @@ from .engine import (ArrivalOrder, FixedRuleAlgorithm, RatioSummary,
                      execute_online, expected_rule_value, expected_value_exact,
                      monte_carlo_ratio, safe_ratio)
 from .errors import EnumerationCapError, VerificationError
-from .graphic import (Cut, GraphicDerandomizedCut, GraphicRandomCut,
-                      Orientation, blocking_probability, consideration_set,
-                      cut_bound_exact, cut_objective, derandomize_cut,
-                      orient_low_indegree, sample_cut)
+from .graphic import (GraphicDerandomizedCut, GraphicRandomCut, Orientation,
+                      blocking_probability, cut_bound_exact, cut_objective,
+                      derandomize_cut, orient_low_indegree)
 from .io import (LoadedInstance, bernoulli_to_dict, instance_to_dict,
                  load_instance, parse_instance, save_instance)
 from .matroids import (GraphicMatroid, Matroid, PartitionMatroid,

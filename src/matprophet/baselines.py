@@ -175,7 +175,7 @@ def make_baseline(inst, name, cap=None, reduction=None):
         exact = reduction is not None and reduction.mode == "exact"
         ut = kuniform_opt_fraction_threshold(
             inst, cap=cap, opt=reduction.prophet_value if exact else None)
-    elif name in ("partition", "partition-prob", "partition-optfrac"):
+    elif name in ("partition", "partition-optfrac"):
         method = "opt-fraction" if name.endswith("optfrac") else "probabilistic"
         rule, per_block = partition_thresholds(inst, method, cap=cap)
         return BaselineAlgorithm(inst, rule, name, per_block, reduction)

@@ -20,9 +20,8 @@ from .engine import expected_value_exact, monte_carlo_ratio, safe_ratio
 from .errors import EnumerationCapError, VerificationError
 from .generate import random_dists, random_graph
 from .graphic import (GraphicDerandomizedCut, GraphicRandomCut,
-                      blocking_probability, consideration_set,
-                      cut_bound_exact, cut_objective, derandomize_cut,
-                      sample_cut)
+                      blocking_probability, cut_bound_exact, cut_objective,
+                      derandomize_cut, require_graphic)
 from .io import load_instance, save_instance
 from .matroids import (GraphicMatroid, PartitionMatroid, UniformMatroid,
                        POLYTOPE_CAP)
@@ -43,17 +42,18 @@ class _Parser(argparse.ArgumentParser):
 
 def make_algorithm(inst, name, mode="exact", trials=100_000, seed=0,
                    cap=None):
+    """Reduce the instance with the run's settings and build the named
+    algorithm on that reduction."""
+    if name not in GRAPHIC_ALGOS + BASELINE_ALGOS:
+        raise ValueError(f"unknown algorithm {name!r}")
+    if name in GRAPHIC_ALGOS:
+        require_graphic(inst)  # before the reduction enumerates anything
+    red = ex_ante_reduce(inst, mode=mode, trials=trials, seed=seed, cap=cap)
     if name == "graphic-random-cut":
-        return GraphicRandomCut(inst, mode=mode, reduce_trials=trials,
-                                seed=seed, cap=cap)
+        return GraphicRandomCut(inst, red)
     if name == "graphic-derandomized":
-        return GraphicDerandomizedCut(inst, mode=mode, reduce_trials=trials,
-                                      seed=seed, cap=cap)
-    if name in BASELINE_ALGOS:
-        red = ex_ante_reduce(inst, mode=mode, trials=trials, seed=seed,
-                             cap=cap)
-        return make_baseline(inst, name, cap=cap, reduction=red)
-    raise ValueError(f"unknown algorithm {name!r}")
+        return GraphicDerandomizedCut(inst, red, cap)
+    return make_baseline(inst, name, cap=cap, reduction=red)
 
 
 def _fmt(x):
@@ -136,11 +136,13 @@ def _write_csv(path, rows):
 
 
 def cmd_run(args):
+    order_policy = "worst_case" if args.order == "worst-case" else "random"
+    if args.mode == "exact" and order_policy == "random":
+        raise ValueError("exact mode needs the worst-case order")
     loaded = load_instance(args.instance)
     inst = loaded.instance
     algo = make_algorithm(inst, args.algo, mode=args.mode,
                           trials=args.trials, seed=args.seed, cap=args.cap)
-    order_policy = "worst_case" if args.order == "worst-case" else "random"
     out_prefix = Path(args.out)
     summary = {
         "instance": str(args.instance),
@@ -151,8 +153,6 @@ def cmd_run(args):
     }
 
     if args.mode == "exact":
-        if order_policy == "random":
-            raise ValueError("exact mode needs the worst-case order")
         alg_value = expected_value_exact(inst, algo, cap=args.cap)
         # a second enumeration of the same outcomes (algo.reduction holds
         # this value): perfbench's host sampler cannot yet time an exact-run
@@ -188,11 +188,9 @@ def cmd_run(args):
         summary["orientation_heads"] = o.heads.tolist()
         summary["in_mass"] = o.in_mass(design.p_scaled).tolist()
         if args.algo == "graphic-derandomized":
-            cut = algo.cut
-        else:
-            cut = sample_cut(inst.matroid, np.random.default_rng(args.seed))
-        summary["cut_side_a"] = sorted(cut.side_a)
-        summary["considered"] = consideration_set(o, cut).tolist()
+            summary["cut_side_a"] = np.flatnonzero(algo.cut).tolist()
+            summary["considered"] = np.flatnonzero(
+                o.crossing(algo.cut)).tolist()
     else:
         info = algo.info
         if isinstance(info, list):
@@ -240,8 +238,9 @@ def cmd_orient(args):
     inst = loaded.instance
     if not isinstance(inst.matroid, GraphicMatroid):
         raise ValueError("orient needs a graphic instance")
-    design = GraphicRandomCut(inst, mode=args.mode, reduce_trials=args.trials,
-                              seed=args.seed, cap=args.cap).design
+    red = ex_ante_reduce(inst, mode=args.mode, trials=args.trials,
+                         seed=args.seed, cap=args.cap)
+    design = GraphicRandomCut(inst, red).design
     o = design.orientation
     in_mass = o.in_mass(design.p_scaled)
     doc = {
@@ -273,9 +272,9 @@ def _verify_instance(loaded, cap):
     mass_tol = 1e-12
 
     graphic = isinstance(inst.matroid, GraphicMatroid)
+    red = ex_ante_reduce(inst, cap=cap)
     # one design serves the graphic checks and the online value
-    algo = GraphicRandomCut(inst, cap=cap) if graphic else None
-    red = algo.reduction if graphic else ex_ante_reduce(inst, cap=cap)
+    algo = GraphicRandomCut(inst, red) if graphic else None
     opt = red.prophet_value
 
     if loaded.is_bernoulli:

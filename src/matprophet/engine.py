@@ -110,12 +110,15 @@ class FixedRuleAlgorithm:
     """A non-adaptive algorithm: one base rule, fixed before any arrival,
     opened on a considered set of items (`ThresholdRule.opened_on`).
 
-    The only randomness is which items are considered. This class considers
-    every item; a randomized algorithm overrides `consider_matrix` (Monte
-    Carlo draws) and `consider_distribution` (exact mode). `reduction` is
-    the ex-ante reduction the worst-case order comes from; without one, the
-    instance is reduced exactly when it is first read.
+    The only randomness is `coins` fair coins; `considered(bits)` maps rows
+    of coin bits to masks of considered items. The engine draws the coins
+    in Monte Carlo and enumerates them in exact mode. This class flips no
+    coin and considers every item. `reduction` is the ex-ante reduction the
+    worst-case order comes from; without one, the instance is reduced
+    exactly when it is first read.
     """
+
+    coins = 0
 
     def __init__(self, instance, rule, reduction=None):
         if rule.n != instance.n:
@@ -124,13 +127,14 @@ class FixedRuleAlgorithm:
         self.rule = rule
         self._reduction = reduction
 
-    def consider_matrix(self, rng, trials):
-        """(trials, n) boolean masks of considered items, drawn from rng."""
-        return np.ones((trials, self.instance.n), dtype=bool)
+    def considered(self, bits):
+        """(rows, n) masks of considered items, one per row of coin bits."""
+        return np.ones((len(bits), self.instance.n), dtype=bool)
 
-    def consider_distribution(self):
-        """Yield (probability, considered-item mask) pairs, one at a time."""
-        yield 1.0, np.ones(self.instance.n, dtype=bool)
+    def consider_matrix(self, rng, trials):
+        """(trials, n) considered masks, from `coins` fair coins per trial
+        drawn from rng; with no coins, rng is not advanced."""
+        return self.considered(rng.random((trials, self.coins)) < 0.5)
 
     def build(self, rng):
         """The rule of one draw of the considered set."""
@@ -192,19 +196,22 @@ def resolve_order(inst, order, algo=None):
 
 
 def expected_value_exact(inst, algo, order="worst_case", cap=None):
-    """Exact expected online value, averaging over the algorithm's
-    considered sets (e.g. the crossing edges of every cut) and all pass
-    patterns. A considered set's rule value is computed once, however
-    many of the sets (cuts) produce it."""
+    """Exact expected online value, averaging over every row of the
+    algorithm's coins (e.g. every cut) and all pass patterns. A considered
+    set's rule value is computed once, however many coin rows produce it."""
     order = resolve_order(inst, order, algo)
+    k = algo.coins
+    check_enum_cap(2 ** k, f"2^{k} coin patterns", cap)
+    weight = 0.5 ** k
     values = {}
     total = 0.0
-    for prob, consider in algo.consider_distribution():
-        key = consider.tobytes()
-        if key not in values:
-            values[key] = expected_rule_value(
-                inst, algo.rule.opened_on(consider), order, cap)
-        total += prob * values[key]
+    for bits in kernels.subset_rows(k):
+        for consider in algo.considered(bits):
+            key = consider.tobytes()
+            if key not in values:
+                values[key] = expected_rule_value(
+                    inst, algo.rule.opened_on(consider), order, cap)
+            total += weight * values[key]
     return total
 
 
@@ -260,9 +267,10 @@ def monte_carlo_ratio(inst, algo, trials, seed=0, order="worst_case",
         raise ValueError("need a positive trial count")
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level {level} outside (0, 1)")
-    rng = np.random.default_rng(seed)
     # a random order draws every trial from its own stream; a fixed order
-    # draws whole blocks from one stream
+    # draws whole blocks from one stream, a child of the seed, so that they
+    # never repeat the values an mc reduction drew from default_rng(seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     per_trial = isinstance(order, str) and order == "random"
     if not per_trial:
         perm = resolve_order(inst, order, algo).perm
@@ -302,8 +310,8 @@ def monte_carlo_ratio(inst, algo, trials, seed=0, order="worst_case",
     return summary
 
 
-def adversarial_order_search(inst, algo, mode="exhaustive", seed=0,
-                             start=None, cap=None):
+def adversarial_order_search(inst, algo, mode="exhaustive", start=None,
+                             cap=None):
     """Look for the arrival order minimizing the exact expected value.
 
     Exhaustive mode tries every permutation (guarded to small n); local mode

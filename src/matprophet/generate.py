@@ -1,5 +1,7 @@
 """Random instance generators used by the CLI and the test suites."""
 
+import math
+
 import numpy as np
 
 from .distributions import DiscreteDistribution
@@ -7,16 +9,28 @@ from .kernels import batched_greedy
 from .matroids import GraphicMatroid, PartitionMatroid, UniformMatroid
 from .reduction import ProphetInstance
 
+MAX_REDRAWS = 100_000
+
 
 def random_distribution(rng, support_size=3, value_max=10.0, zero_atom=0.5):
     """Random discrete distribution; with probability zero_atom the lowest
-    support value is pinned to 0 so zero-weight handling gets exercised."""
+    support value is pinned to 0 so zero-weight handling gets exercised.
+    Values are uniform draws below value_max on the 0.001 grid, redrawn
+    until distinct, at most MAX_REDRAWS times."""
     if support_size < 1:
         raise ValueError("support needs at least one value")
-    while True:
+    # grid points 0..k (in thousandths) are reachable when
+    # 1000 * value_max > k - 1/2; nan and overflow fail the test too
+    if not support_size - 1.5 < 1000.0 * value_max < math.inf:
+        raise ValueError(f"value max {value_max} leaves no room for "
+                         f"{support_size} distinct values on the 0.001 grid")
+    for _ in range(MAX_REDRAWS):
         vals = np.sort(np.round(rng.uniform(0.0, value_max, support_size), 3))
         if np.all(np.diff(vals) > 0):
             break
+    else:
+        raise ValueError(f"no {support_size} distinct values below "
+                         f"{value_max} in {MAX_REDRAWS} draws")
     if support_size > 1 and rng.random() < zero_atom:
         vals[0] = 0.0
     probs = rng.dirichlet(np.ones(support_size))

@@ -55,20 +55,6 @@ class Orientation:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class Cut:
-    in_a: np.ndarray
-
-    def __post_init__(self):
-        in_a = np.asarray(self.in_a, dtype=bool)
-        in_a.flags.writeable = False
-        object.__setattr__(self, "in_a", in_a)
-
-    @property
-    def side_a(self):
-        return frozenset(int(v) for v in np.flatnonzero(self.in_a))
-
-
 def orient_low_indegree(g, p_scaled):
     """Peel vertices whose current incident mass is at most 1/2 (lowest
     index first), orienting the still-unassigned incident edges into the
@@ -104,16 +90,6 @@ def orient_low_indegree(g, p_scaled):
     return Orientation(g.num_vertices, g.eu.copy(), g.ev.copy(), heads)
 
 
-def sample_cut(g, rng):
-    """Uniform random vertex bipartition."""
-    return Cut(rng.random(g.num_vertices) < 0.5)
-
-
-def consideration_set(orientation, cut):
-    """Edges crossing the cut in the tail(A) -> head(B) direction."""
-    return np.flatnonzero(orientation.crossing(cut.in_a)).astype(np.int64)
-
-
 def blocking_probability(g, probs, subset, i, mode="exact", trials=10_000,
                          seed=0, cap=None):
     """Probability that item i is spanned by an independent activation of
@@ -142,10 +118,10 @@ def blocking_probability(g, probs, subset, i, mode="exact", trials=10_000,
     return hits / trials
 
 
-def cut_objective(g, p_scaled, t, orientation, cut):
+def cut_objective(g, p_scaled, t, orientation, in_a):
     """sum over crossing edges of p*t*(1 - blocking probability inside the
-    crossing set), for one fixed cut."""
-    assign = np.where(np.asarray(cut.in_a), 1, 0).astype(np.int8)
+    crossing set), for the cut with side A indicator `in_a`."""
+    assign = np.where(np.asarray(in_a), 1, 0).astype(np.int8)
     return float(kernels.expected_cut_objective(
         g, orientation.heads, np.asarray(p_scaled, dtype=float),
         np.asarray(t, dtype=float), assign))
@@ -164,6 +140,7 @@ def cut_bound_exact(g, p_scaled, t, orientation, cap=None):
 def derandomize_cut(g, p_scaled, t, orientation, cap=None):
     """Fix vertex sides one at a time by conditional expectations; the
     resulting cut's objective is at least the random-cut expectation.
+    Returns the cut as a read-only side-A indicator per vertex.
 
     Every cut's objective comes from one table, indexed by the mask with
     bit j set when vertex j is on side A. Fixing vertex v compares the
@@ -183,7 +160,9 @@ def derandomize_cut(g, p_scaled, t, orientation, cap=None):
         with_b = kernels.running_sum(0.0, table[base + rest]) / rest.size
         if with_a >= with_b:
             base += 1 << v
-    return Cut((base >> np.arange(nv)) & 1 == 1)
+    in_a = (base >> np.arange(nv)) & 1 == 1
+    in_a.flags.writeable = False
+    return in_a
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,16 +175,19 @@ class RandomCutDesign:
     orientation: Orientation
     rule: ThresholdRule
 
-    def rule_for_cut(self, cut):
-        return self.rule.opened_on(self.orientation.crossing(cut.in_a))
+    def rule_for_cut(self, in_a):
+        return self.rule.opened_on(self.orientation.crossing(in_a))
 
 
-def _design(inst, mode, reduce_trials, seed, cap):
-    g = inst.matroid
-    if not isinstance(g, GraphicMatroid):
+def require_graphic(inst):
+    if not isinstance(inst.matroid, GraphicMatroid):
         raise ValueError("the cut construction needs a graphic matroid")
-    red = ex_ante_reduce(inst, mode=mode, trials=reduce_trials, seed=seed,
-                         cap=cap)
+
+
+def _design(inst, reduction):
+    require_graphic(inst)
+    g = inst.matroid
+    red = ex_ante_reduce(inst) if reduction is None else reduction
     p_scaled = scale(red.p, 0.25)
     p_scaled.flags.writeable = False
     orientation = orient_low_indegree(g, p_scaled)
@@ -219,37 +201,29 @@ def _design(inst, mode, reduce_trials, seed, cap):
 
 class GraphicRandomCut(FixedRuleAlgorithm):
     """Threshold algorithm: quantile thresholds at a quarter of the ex-ante
-    probabilities, opened only on edges crossing a fresh uniform cut."""
+    probabilities, opened only on edges crossing a fresh uniform cut. Its
+    coins are the vertices' sides (a set bit puts the vertex on side A).
+    Without a `reduction`, the instance is reduced exactly."""
 
     name = "graphic-random-cut"
 
-    def __init__(self, inst, mode="exact", reduce_trials=100_000, seed=0,
-                 cap=None):
-        self.design = _design(inst, mode, reduce_trials, seed, cap)
+    def __init__(self, inst, reduction=None):
+        self.design = _design(inst, reduction)
         super().__init__(inst, self.design.rule, self.design.reduction)
-        self._cap = cap
+        self.coins = inst.matroid.num_vertices
 
-    def consider_matrix(self, rng, trials):
-        in_a = rng.random((trials, self.instance.matroid.num_vertices)) < 0.5
-        return self.design.orientation.crossing(in_a)
-
-    def consider_distribution(self):
-        nv = self.instance.matroid.num_vertices
-        check_enum_cap(2 ** nv, f"2^{nv} cuts", self._cap)
-        weight = 0.5 ** nv
-        for in_a in kernels.subset_rows(nv):
-            for considered in self.design.orientation.crossing(in_a):
-                yield weight, considered
+    def considered(self, bits):
+        return self.design.orientation.crossing(bits)
 
 
 class GraphicDerandomizedCut(FixedRuleAlgorithm):
-    """Same construction with the cut chosen by conditional expectations."""
+    """Same construction with the cut chosen by conditional expectations;
+    `cut` is its side-A indicator."""
 
     name = "graphic-derandomized"
 
-    def __init__(self, inst, mode="exact", reduce_trials=100_000, seed=0,
-                 cap=None):
-        self.design = _design(inst, mode, reduce_trials, seed, cap)
+    def __init__(self, inst, reduction=None, cap=None):
+        self.design = _design(inst, reduction)
         self.cut = derandomize_cut(inst.matroid, self.design.p_scaled,
                                    self.design.reduction.t,
                                    self.design.orientation, cap)

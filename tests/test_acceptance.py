@@ -196,7 +196,8 @@ def test_online_value_thirty_two():
     g = random_graph(rng, 20, 40)
     inst = ProphetInstance(g, tuple(random_distribution(rng)
                                     for _ in range(g.n)))
-    algo = GraphicRandomCut(inst, mode="mc", reduce_trials=100_000, seed=7)
+    algo = GraphicRandomCut(
+        inst, ex_ante_reduce(inst, mode="mc", trials=100_000, seed=7))
     res = monte_carlo_ratio(inst, algo, trials=100_000, seed=11)
     mc_slack = res.ratio - (1.0 / 32.0 - res.ci_half_width)
     assert mc_slack >= 0.0, (res.ratio, res.ci_half_width)

@@ -9,11 +9,11 @@ import pytest
 from matprophet import (BernoulliInstance, GraphicMatroid, PartitionMatroid,
                         ProphetInstance, UniformMatroid, bernoulli_to_dict,
                         load_instance, parse_instance, save_instance)
-from matprophet import kernels
+from matprophet import generate, kernels
 from matprophet.cli import CSV_HEADER, _fmt, main, make_algorithm
 from matprophet.distributions import DiscreteDistribution
 from matprophet.engine import monte_carlo_ratio, safe_ratio
-from matprophet.generate import random_graphic_instance
+from matprophet.generate import random_distribution, random_graphic_instance
 
 
 def test_round_trip_graphic(tmp_path):
@@ -295,6 +295,46 @@ def test_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as err:
         run_cli("run", "--no-such-flag")
     assert err.value.code == 1
+
+
+def test_gen_refuses_a_value_max_without_room(tmp_path, capsys,
+                                             monkeypatch):
+    # the first two once redrew forever, the others ended in a traceback
+    for support, value_max in (("3", "0.001"), ("2", "0"), ("3", "nan"),
+                               ("2", "inf"), ("2", "1e306")):
+        out = tmp_path / "g.json"
+        assert run_cli("gen", "--family", "uniform", "--n", 3,
+                       "--support-size", support, "--value-max", value_max,
+                       "--out", out) == 1
+        assert "value max" in capsys.readouterr().err
+        assert not out.exists()
+    # a grid point reachable only from a sliver below value_max: the
+    # redraws stop
+    monkeypatch.setattr(generate, "MAX_REDRAWS", 50)
+    with pytest.raises(ValueError, match="in 50 draws$"):
+        random_distribution(np.random.default_rng(0), 3, 0.0015000001)
+    # the smallest grid with room still draws
+    d = random_distribution(np.random.default_rng(0), 2, 0.001)
+    assert d.values.tolist() == [0.0, 0.001]
+
+
+def test_exact_random_order_is_refused_before_any_work(tmp_path, capsys,
+                                                       monkeypatch):
+    inst_path = tmp_path / "g.json"
+    run_cli("gen", "--family", "graphic", "--vertices", 4, "--edges", 5,
+            "--seed", 2, "--out", inst_path)
+    capsys.readouterr()
+
+    def never(*args, **kwargs):
+        raise AssertionError("work began before --order was checked")
+
+    monkeypatch.setattr("matprophet.cli.load_instance", never)
+    monkeypatch.setattr("matprophet.cli.make_algorithm", never)
+    monkeypatch.setenv("MATPROPHET_ENUM_CAP", "1")
+    assert run_cli("run", "--instance", inst_path, "--algo",
+                   "graphic-random-cut", "--mode", "exact", "--order",
+                   "random", "--out", tmp_path / "o") == 1
+    assert "exact mode needs the worst-case order" in capsys.readouterr().err
 
 
 def test_derandomized_cut_is_refused_past_the_cap(tmp_path, capsys,

@@ -240,6 +240,26 @@ def test_monte_carlo_validation():
         expected_value_exact(inst, algo, order="no-such-policy")
 
 
+def test_worst_case_mc_draws_apart_from_the_reduction():
+    """An mc reduction samples default_rng(seed); the worst-case blocks
+    draw from a child stream of the seed, so the evaluation never runs on
+    the values the thresholds were calibrated on."""
+    inst = random_graphic_instance(np.random.default_rng(5), max_vertices=6,
+                                   max_edges=9)
+    seed, trials = 3, 3000
+    red = ex_ante_reduce(inst, mode="mc", trials=trials, seed=seed)
+    res, _, pro, _ = monte_carlo_ratio(inst, GraphicRandomCut(inst, red),
+                                       trials, seed=seed, return_trials=True)
+    reused, _ = kernels.mc_max_weight(inst.matroid, sample_value_matrix(
+        inst, np.random.default_rng(seed), trials))
+    assert not np.array_equal(pro, reused)
+    assert res.mean_prophet != red.prophet_value
+    child = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    drawn, _ = kernels.mc_max_weight(inst.matroid, sample_value_matrix(
+        inst, child, trials))
+    assert pro.tolist() == drawn.tolist()
+
+
 def test_mc_random_order_runs():
     inst = k3_coins()
     algo = FixedRuleAlgorithm(inst, ThresholdRule(np.ones(3), np.ones(3)))

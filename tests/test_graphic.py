@@ -5,12 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from matprophet import (ArrivalOrder, Cut, FixedRuleAlgorithm,
-                        GraphicMatroid, Orientation, blocking_probability,
-                        consideration_set, cut_bound_exact, cut_objective,
-                        derandomize_cut, ex_ante_reduce, expected_rule_value,
-                        expected_value_exact, monte_carlo_ratio,
-                        orient_low_indegree, sample_cut, worst_case_order)
+from matprophet import (ArrivalOrder, FixedRuleAlgorithm, GraphicMatroid,
+                        Orientation, blocking_probability, cut_bound_exact,
+                        cut_objective, derandomize_cut, ex_ante_reduce,
+                        expected_rule_value, expected_value_exact,
+                        monte_carlo_ratio, orient_low_indegree,
+                        worst_case_order)
 from matprophet import engine, kernels
 from matprophet.generate import random_graph, random_graphic_instance
 from matprophet.graphic import GraphicDerandomizedCut, GraphicRandomCut
@@ -55,12 +55,10 @@ def test_consideration_set():
     o = orient_low_indegree(g, [0.25, 0.25])  # heads [0, 1]
     # A = {1, 2}: edge 0 has tail 1 in A and head 0 in B, edge 1 has both
     # endpoints in A
-    cut = Cut(np.array([False, True, True]))
-    assert consideration_set(o, cut).tolist() == [0]
+    assert np.flatnonzero(o.crossing([False, True, True])).tolist() == [0]
     # A = {2}: only edge 1 crosses
-    cut = Cut(np.array([False, False, True]))
-    assert consideration_set(o, cut).tolist() == [1]
-    assert consideration_set(o, Cut(np.ones(3, bool))).tolist() == []
+    assert np.flatnonzero(o.crossing([False, False, True])).tolist() == [1]
+    assert np.flatnonzero(o.crossing(np.ones(3, bool))).tolist() == []
 
 
 def test_triangle_consideration_sets_are_forests():
@@ -68,7 +66,7 @@ def test_triangle_consideration_sets_are_forests():
     p4 = np.full(3, 0.375 / 4)
     o = orient_low_indegree(g, p4)
     for bits in itertools.product([False, True], repeat=3):
-        s = consideration_set(o, Cut(np.array(bits)))
+        s = np.flatnonzero(o.crossing(np.array(bits)))
         assert g.is_independent(s)
 
 
@@ -136,7 +134,7 @@ def test_cut_bound_is_average_of_cut_objectives():
     o = orient_low_indegree(g, p4)
     total = 0.0
     for bits in itertools.product([False, True], repeat=g.num_vertices):
-        total += cut_objective(g, p4, red.t, o, Cut(np.array(bits)))
+        total += cut_objective(g, p4, red.t, o, np.array(bits))
     avg = total / 2 ** g.num_vertices
     assert cut_bound_exact(g, p4, red.t, o) == pytest.approx(avg, abs=1e-9)
 
@@ -215,19 +213,20 @@ def test_crossing_set_reuse_is_bit_identical():
             per_cut_expected_objective(g, o.heads, p, t, undecided)
         for bits in itertools.product((0, 1), repeat=nv):
             assign = np.array(bits, dtype=np.int8)
-            assert cut_objective(g, p, t, o, Cut(assign == 1)) == \
+            assert cut_objective(g, p, t, o, assign == 1) == \
                 per_cut_expected_objective(g, o.heads, p, t, assign)
-        assert derandomize_cut(g, p, t, o).in_a.tolist() == \
-            per_vertex_derandomized_cut(g, p, t, o).tolist()
+        cut = derandomize_cut(g, p, t, o)
+        assert not cut.flags.writeable
+        assert cut.tolist() == per_vertex_derandomized_cut(g, p, t, o).tolist()
 
 
 def test_rule_for_cut_opens_only_crossing_edges():
     rng = np.random.default_rng(41)
     inst = random_graphic_instance(rng, max_vertices=5, max_edges=7)
     algo = GraphicRandomCut(inst)
-    cut = sample_cut(inst.matroid, rng)
-    rule = algo.design.rule_for_cut(cut)
-    considered = consideration_set(algo.design.orientation, cut)
+    in_a = rng.random(inst.matroid.num_vertices) < 0.5
+    rule = algo.design.rule_for_cut(in_a)
+    considered = np.flatnonzero(algo.design.orientation.crossing(in_a))
     open_mask = np.isfinite(rule.thresholds)
     assert sorted(np.flatnonzero(open_mask)) == sorted(considered)
     # every open item passes with probability exactly p_i / 4
@@ -260,11 +259,11 @@ def test_exact_value_averages_every_cut_rule(monkeypatch):
         want = 0.0
         crossing_sets = set()
         for bits in itertools.product((False, True), repeat=nv):
-            cut = Cut(np.array(bits[::-1]))  # vertex 0 is the low bit
-            rule = algo.design.rule_for_cut(cut)
+            in_a = np.array(bits[::-1])  # vertex 0 is the low bit
+            rule = algo.design.rule_for_cut(in_a)
             want += 0.5 ** nv * expected_rule_value(inst, rule, order)
             crossing_sets.add(algo.design.orientation.crossing(
-                cut.in_a).tobytes())
+                in_a).tobytes())
         calls.clear()
         assert expected_value_exact(inst, algo) == want
         # one rule value per distinct crossing set, not one per cut
@@ -283,9 +282,9 @@ def test_build_draws_the_cut_sample_cut_draws():
         twin = np.random.default_rng(seed)
         for _ in range(5):
             rule = algo.build(draw)
-            cut = sample_cut(inst.matroid, twin)
+            in_a = twin.random(inst.matroid.num_vertices) < 0.5
             assert rule_bytes(rule) == rule_bytes(
-                algo.design.rule_for_cut(cut))
+                algo.design.rule_for_cut(in_a))
         assert draw.bit_generator.state == twin.bit_generator.state
 
 

@@ -11,7 +11,7 @@ from matprophet import (BernoulliInstance, GraphicMatroid, GraphicRandomCut,
                         ProphetInstance, ThresholdRule, UniformMatroid,
                         blocking_probability, cut_bound_exact,
                         derandomize_cut, ex_ante_reduce, expected_rule_value,
-                        orient_low_indegree,
+                        expected_value_exact, orient_low_indegree,
                         prophet_value_exact, worst_case_order)
 from matprophet import kernels
 from matprophet.distributions import DiscreteDistribution
@@ -264,7 +264,7 @@ def test_every_exact_enumeration_checks_one_cap(monkeypatch):
          "2\\^2 activation patterns"),
         (lambda: cut_bound_exact(g, np.full(3, 0.125), np.ones(3),
                                  orientation), "2\\^3 cuts"),
-        (lambda: next(algo.consider_distribution()), "2\\^3 cuts"),
+        (lambda: expected_value_exact(inst, algo), "2\\^3 coin patterns"),
         (lambda: derandomize_cut(g, np.full(3, 0.125), np.ones(3),
                                  orientation), "2\\^3 cuts"),
     ]
