@@ -11,9 +11,9 @@ from .baselines import (UniformThreshold, kuniform_opt_fraction_threshold,
                         kuniform_probabilistic_threshold, make_baseline,
                         partition_thresholds, samuel_cahn_threshold)
 from .distributions import DiscreteDistribution
-from .engine import (ArrivalOrder, FixedRuleAlgorithm, RatioSummary,
-                     ThresholdRule, TrialReport, adversarial_order_search,
-                     execute_online, expected_rule_value, expected_value_exact,
+from .engine import (FixedRuleAlgorithm, RatioSummary, ThresholdRule,
+                     adversarial_order_search, as_permutation, execute_online,
+                     expected_rule_value, expected_value_exact,
                      monte_carlo_ratio, safe_ratio)
 from .errors import EnumerationCapError, VerificationError
 from .graphic import (GraphicDerandomizedCut, GraphicRandomCut, Orientation,
@@ -23,7 +23,7 @@ from .io import (LoadedInstance, bernoulli_to_dict, instance_to_dict,
                  load_instance, parse_instance, save_instance)
 from .matroids import (GraphicMatroid, Matroid, PartitionMatroid,
                        UniformMatroid, scale)
-from .reduction import (BernoulliInstance, ProphetInstance, ReductionResult,
-                        ex_ante_reduce, prophet_value_exact, worst_case_order)
+from .reduction import (ProphetInstance, ReductionResult, ex_ante_reduce,
+                        prophet_value_exact, worst_case_order)
 
 __version__ = "0.1.0"

@@ -160,13 +160,36 @@ class BaselineAlgorithm(FixedRuleAlgorithm):
         self.info = info
 
 
+# the matroids each baseline runs on: (their name, a test of the matroid)
+FAMILIES = {
+    "samuel-cahn": ("1-uniform matroids",
+                    lambda m: isinstance(m, UniformMatroid) and m.k == 1),
+    "kuniform-prob": ("uniform matroids",
+                      lambda m: isinstance(m, UniformMatroid)),
+    "kuniform-optfrac": ("uniform matroids",
+                         lambda m: isinstance(m, UniformMatroid)),
+    "partition": ("partition matroids",
+                  lambda m: isinstance(m, PartitionMatroid)),
+    "partition-optfrac": ("partition matroids",
+                          lambda m: isinstance(m, PartitionMatroid)),
+}
+
+
+def require_family(inst, name):
+    """Refuse an unknown baseline, or one on a matroid it does not run on."""
+    if name not in FAMILIES:
+        raise ValueError(f"unknown baseline {name!r}")
+    family, fits = FAMILIES[name]
+    if not fits(inst.matroid):
+        raise ValueError(f"{name} runs on {family}")
+
+
 def make_baseline(inst, name, cap=None, reduction=None):
     """Build a baseline by CLI name. `reduction` is the ex-ante reduction
     its worst-case order comes from (by default the exact one, computed
     when first read)."""
+    require_family(inst, name)
     if name == "samuel-cahn":
-        if not isinstance(inst.matroid, UniformMatroid) or inst.matroid.k != 1:
-            raise ValueError("samuel-cahn runs on 1-uniform instances")
         ut = samuel_cahn_threshold(inst)
     elif name == "kuniform-prob":
         ut = kuniform_probabilistic_threshold(inst)
@@ -175,10 +198,8 @@ def make_baseline(inst, name, cap=None, reduction=None):
         exact = reduction is not None and reduction.mode == "exact"
         ut = kuniform_opt_fraction_threshold(
             inst, cap=cap, opt=reduction.prophet_value if exact else None)
-    elif name in ("partition", "partition-optfrac"):
+    else:
         method = "opt-fraction" if name.endswith("optfrac") else "probabilistic"
         rule, per_block = partition_thresholds(inst, method, cap=cap)
         return BaselineAlgorithm(inst, rule, name, per_block, reduction)
-    else:
-        raise ValueError(f"unknown baseline {name!r}")
     return BaselineAlgorithm(inst, ut.to_rule(inst.n), name, ut, reduction)

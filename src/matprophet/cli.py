@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import make_baseline
+from .baselines import FAMILIES, make_baseline, require_family
 from .engine import expected_value_exact, monte_carlo_ratio, safe_ratio
 from .errors import EnumerationCapError, VerificationError
 from .generate import random_dists, random_graph
@@ -29,8 +29,7 @@ from .reduction import (ProphetInstance, ex_ante_reduce, prophet_value_exact,
                         worst_case_order)
 
 GRAPHIC_ALGOS = ("graphic-random-cut", "graphic-derandomized")
-BASELINE_ALGOS = ("samuel-cahn", "kuniform-prob", "kuniform-optfrac",
-                  "partition", "partition-optfrac")
+BASELINE_ALGOS = tuple(FAMILIES)
 CSV_HEADER = ("trial,seed,order_tag,alg_value,prophet_value,ratio,"
               "accepted_edges,degenerate")
 
@@ -44,10 +43,11 @@ def make_algorithm(inst, name, mode="exact", trials=100_000, seed=0,
                    cap=None):
     """Reduce the instance with the run's settings and build the named
     algorithm on that reduction."""
-    if name not in GRAPHIC_ALGOS + BASELINE_ALGOS:
-        raise ValueError(f"unknown algorithm {name!r}")
+    # refuse the wrong family before the reduction enumerates anything
     if name in GRAPHIC_ALGOS:
-        require_graphic(inst)  # before the reduction enumerates anything
+        require_graphic(inst)
+    else:
+        require_family(inst, name)
     red = ex_ante_reduce(inst, mode=mode, trials=trials, seed=seed, cap=cap)
     if name == "graphic-random-cut":
         return GraphicRandomCut(inst, red)
@@ -156,7 +156,7 @@ def cmd_run(args):
         alg_value = expected_value_exact(inst, algo, cap=args.cap)
         # a second enumeration of the same outcomes (algo.reduction holds
         # this value): perfbench's host sampler cannot yet time an exact-run
-        # operation shorter than its 50 ms period (ROADMAP item 2)
+        # operation shorter than its 50 ms period (ROADMAP item 1)
         opt = prophet_value_exact(inst, cap=args.cap)
         ratio, degenerate = safe_ratio(alg_value, opt)
         summary.update(alg_value=alg_value, prophet_value=opt, ratio=ratio,

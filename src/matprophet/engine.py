@@ -64,30 +64,6 @@ class ThresholdRule:
 
 
 @dataclass(frozen=True)
-class ArrivalOrder:
-    perm: np.ndarray
-    tag: str = "explicit"
-
-    def __post_init__(self):
-        perm = np.asarray(self.perm, dtype=np.int64)
-        if sorted(perm.tolist()) != list(range(perm.size)):
-            raise ValueError("not a permutation of 0..n-1")
-        perm.flags.writeable = False
-        object.__setattr__(self, "perm", perm)
-
-    @property
-    def n(self):
-        return self.perm.size
-
-
-@dataclass(frozen=True)
-class TrialReport:
-    accepted: tuple
-    alg_value: float
-    order_tag: str
-
-
-@dataclass(frozen=True)
 class RatioSummary:
     trials: int
     mean_alg: float
@@ -147,20 +123,29 @@ class FixedRuleAlgorithm:
         return self._reduction
 
 
+def as_permutation(order, n):
+    """An arrival order as a read-only int64 row; anything that is not a
+    permutation of 0..n-1 is refused."""
+    perm = np.asarray(order)
+    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
+        raise ValueError(f"arrival order is not a permutation of 0..{n - 1}")
+    perm = perm.astype(np.int64)
+    perm.flags.writeable = False
+    return perm
+
+
 def execute_online(inst, rule, order, values, atom_coins):
     """Run one arrival sequence: accept an item when it passes its threshold
-    and stays independent alongside everything accepted so far."""
-    if not isinstance(order, ArrivalOrder):
-        order = ArrivalOrder(order)
-    perm = order.perm
+    and stays independent alongside everything accepted so far. Returns the
+    accepted items, in arrival order, and their total value."""
+    perm = as_permutation(order, inst.n)
     values = np.asarray(values, dtype=float)
     if values.shape != (inst.n,):
         raise ValueError("realization size does not match the instance")
     passing = rule.passes(values, np.asarray(atom_coins, dtype=float))
     totals, accepted = kernels.batched_greedy(inst.matroid, perm,
                                               passing[None], values[None])
-    picked = tuple(int(e) for e in perm if accepted[0, e])
-    return TrialReport(picked, float(totals[0]), order.tag)
+    return tuple(int(e) for e in perm if accepted[0, e]), float(totals[0])
 
 
 def rule_pass_profile(inst, rule):
@@ -174,25 +159,21 @@ def rule_pass_profile(inst, rule):
 
 def expected_rule_value(inst, rule, order, cap=None):
     """Exact expected online value of one fixed rule under one fixed order."""
-    perm = order.perm if isinstance(order, ArrivalOrder) else \
-        ArrivalOrder(order).perm
+    perm = as_permutation(order, inst.n)
     r, tau = rule_pass_profile(inst, rule)
     cons = perm[r[perm] > 0.0]
     check_enum_cap(2 ** len(cons), f"2^{len(cons)} pass patterns", cap)
     return kernels.rule_value_exact(inst.matroid, cons, r, tau)
 
 
-def resolve_order(inst, order, algo=None):
-    """Normalize a fixed order argument: ArrivalOrder, permutation array or
-    'worst_case' (priced values ascending)."""
-    if isinstance(order, ArrivalOrder):
-        return order
+def resolve_order(inst, order, algo):
+    """A fixed order argument as a permutation row: a permutation, or
+    'worst_case' (priced values ascending, from algo's reduction)."""
     if isinstance(order, str):
-        if order == "worst_case":
-            red = algo.reduction if algo is not None else ex_ante_reduce(inst)
-            return ArrivalOrder(worst_case_order(red.t), "worst-case")
-        raise ValueError(f"unknown order policy {order!r}")
-    return ArrivalOrder(np.asarray(order))
+        if order != "worst_case":
+            raise ValueError(f"unknown order policy {order!r}")
+        order = worst_case_order(algo.reduction.t)
+    return as_permutation(order, inst.n)
 
 
 def expected_value_exact(inst, algo, order="worst_case", cap=None):
@@ -273,7 +254,7 @@ def monte_carlo_ratio(inst, algo, trials, seed=0, order="worst_case",
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     per_trial = isinstance(order, str) and order == "random"
     if not per_trial:
-        perm = resolve_order(inst, order, algo).perm
+        perm = resolve_order(inst, order, algo)
     thr, atom = algo.rule.thresholds, algo.rule.atom_pass
     alg_vals = np.empty(trials)
     pro_vals = np.empty(trials)
@@ -310,39 +291,17 @@ def monte_carlo_ratio(inst, algo, trials, seed=0, order="worst_case",
     return summary
 
 
-def adversarial_order_search(inst, algo, mode="exhaustive", start=None,
-                             cap=None):
-    """Look for the arrival order minimizing the exact expected value.
-
-    Exhaustive mode tries every permutation (guarded to small n); local mode
-    descends by adjacent transpositions from the given start order.
-    """
+def adversarial_order_search(inst, algo, cap=None):
+    """The arrival order minimizing the exact expected value, found by
+    trying every permutation (guarded to small n). Returns the order as a
+    permutation row and its value."""
     n = inst.n
-    if mode == "exhaustive":
-        if n > 8:
-            raise EnumerationCapError(
-                f"exhaustive order search over {n}! permutations refused")
-        best_perm, best_val = None, math.inf
-        for perm in itertools.permutations(range(n)):
-            val = expected_value_exact(
-                inst, algo, ArrivalOrder(np.array(perm, dtype=np.int64)), cap)
-            if val < best_val - 1e-15:
-                best_perm, best_val = perm, val
-        return (ArrivalOrder(np.array(best_perm, dtype=np.int64),
-                             "adversarial-search"), best_val)
-    if mode != "local":
-        raise ValueError(f"unknown search mode {mode!r}")
-    order = resolve_order(inst, "worst_case" if start is None else start, algo)
-    perm = order.perm.copy()
-    best_val = expected_value_exact(inst, algo, ArrivalOrder(perm), cap)
-    improved = True
-    while improved:
-        improved = False
-        for i in range(n - 1):
-            cand = perm.copy()
-            cand[i], cand[i + 1] = cand[i + 1], cand[i]
-            val = expected_value_exact(inst, algo, ArrivalOrder(cand), cap)
-            if val < best_val - 1e-12:
-                perm, best_val = cand, val
-                improved = True
-    return ArrivalOrder(perm, "adversarial-search"), best_val
+    if n > 8:
+        raise EnumerationCapError(
+            f"exhaustive order search over {n}! permutations refused")
+    best_perm, best_val = None, math.inf
+    for perm in itertools.permutations(range(n)):
+        val = expected_value_exact(inst, algo, perm, cap)
+        if val < best_val - 1e-15:
+            best_perm, best_val = perm, val
+    return as_permutation(best_perm, n), best_val

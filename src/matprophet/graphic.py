@@ -90,32 +90,15 @@ def orient_low_indegree(g, p_scaled):
     return Orientation(g.num_vertices, g.eu.copy(), g.ev.copy(), heads)
 
 
-def blocking_probability(g, probs, subset, i, mode="exact", trials=10_000,
-                         seed=0, cap=None):
+def blocking_probability(g, probs, subset, i, cap=None):
     """Probability that item i is spanned by an independent activation of
     subset \\ {i}, with item j active with probability probs[j]."""
     p = np.asarray(probs, dtype=float)
     members = np.array(sorted(set(int(e) for e in subset) - {int(i)}),
                        dtype=np.int64)
-    if mode == "exact":
-        check_enum_cap(2 ** members.size,
-                       f"2^{members.size} activation patterns", cap)
-        return kernels.connect_probability(g, members, p, int(i))
-    if mode != "mc":
-        raise ValueError(f"unknown mode {mode!r}")
-    if trials <= 0:
-        raise ValueError("need a positive trial count")
-    rng = np.random.default_rng(seed)
-    order = np.append(members, int(i))
-    hits = 0
-    for done in range(0, trials, kernels.BLOCK):
-        batch = min(kernels.BLOCK, trials - done)
-        take = np.zeros((batch, g.n), dtype=bool)
-        take[:, members] = rng.random((batch, members.size)) < p[members]
-        take[:, i] = True
-        _, accepted = kernels.batched_greedy(g, order, take, 0.0)
-        hits += batch - int(accepted[:, i].sum())
-    return hits / trials
+    check_enum_cap(2 ** members.size,
+                   f"2^{members.size} activation patterns", cap)
+    return kernels.connect_probability(g, members, p, int(i))
 
 
 def cut_objective(g, p_scaled, t, orientation, in_a):

@@ -70,11 +70,15 @@ def instance_to_dict(inst):
     }
 
 
-def bernoulli_to_dict(bern):
+def bernoulli_to_dict(matroid, p, t):
+    """The document of a Bernoulli instance: item i is worth t[i] with
+    probability p[i], else nothing. `parse_instance` turns it into a
+    `ProphetInstance` of two-point distributions."""
     return {
         "version": FORMAT_VERSION,
-        "matroid": _matroid_to_dict(bern.matroid),
-        "bernoulli": {"p": bern.p.tolist(), "t": bern.t.tolist()},
+        "matroid": _matroid_to_dict(matroid),
+        "bernoulli": {"p": np.asarray(p, dtype=float).tolist(),
+                      "t": np.asarray(t, dtype=float).tolist()},
     }
 
 

@@ -57,71 +57,35 @@ class ProphetInstance:
 
 
 @dataclass(frozen=True, eq=False)
-class BernoulliInstance:
-    """Each item is worth t_i with probability p_i, else nothing."""
+class ReductionResult:
+    """The ex-ante form: item i is worth t[i] with probability p[i], else
+    nothing (read-only arrays). It also carries the prophet value its
+    enumeration or sampling measured on the way (stderr only in mc mode)."""
 
     matroid: Matroid
     p: np.ndarray
     t: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        t = np.asarray(self.t, dtype=float)
-        n = self.matroid.n
-        if p.shape != (n,) or t.shape != (n,):
-            raise ValueError(f"p and t must both have shape ({n},)")
-        if np.any(p < -1e-12) or np.any(p > 1 + 1e-12):
-            raise ValueError("activation probabilities must lie in [0, 1]")
-        if not np.all(np.isfinite(t)) or np.any(t < 0):
-            raise ValueError("values must be finite and nonnegative")
-        p = np.clip(p, 0.0, 1.0)
-        p.flags.writeable = False
-        t.flags.writeable = False
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "t", t)
-
-    @property
-    def n(self):
-        return self.matroid.n
-
-    def bound(self):
-        """The priced sum over items."""
-        return float(self.p @ self.t)
-
-    def to_prophet_instance(self):
-        dists = tuple(DiscreteDistribution.two_point(pi, ti)
-                      for pi, ti in zip(self.p, self.t))
-        return ProphetInstance(self.matroid, dists)
-
-
-@dataclass(frozen=True)
-class ReductionResult:
-    """The ex-ante form, plus the prophet value its enumeration or sampling
-    measured on the way (stderr only in mc mode)."""
-
-    instance: BernoulliInstance
     mode: str
     trials: int
     prophet_value: float
     prophet_stderr: float | None
 
+    def __post_init__(self):
+        for name in ("p", "t"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
     @cached_property
     def feasibility_slack(self):
         """Matroid-polytope slack of p; None above POLYTOPE_CAP items."""
-        if self.instance.n > POLYTOPE_CAP:
+        if self.matroid.n > POLYTOPE_CAP:
             return None
-        return self.instance.matroid.polytope_slack(self.p)
-
-    @property
-    def p(self):
-        return self.instance.p
-
-    @property
-    def t(self):
-        return self.instance.t
+        return self.matroid.polytope_slack(self.p)
 
     def bound(self):
-        return self.instance.bound()
+        """The priced sum over items."""
+        return float(self.p @ self.t)
 
 
 def _support_arrays(inst):
@@ -203,14 +167,10 @@ def ex_ante_reduce(inst, mode="exact", trials=100_000, seed=0, cap=None):
     p = np.clip(p, 0.0, 1.0)
     t = np.array([d.tail_expectation(pi) if pi > 0 else 0.0
                   for d, pi in zip(inst.dists, p)])
-    bern = BernoulliInstance(inst.matroid, p, t)
-    return ReductionResult(bern, mode, used_trials, opt, stderr)
+    return ReductionResult(inst.matroid, p, t, mode, used_trials, opt, stderr)
 
 
 def worst_case_order(t):
     """Arrival order sorting priced values ascending, ties by index; this is
     the minimizing order for greedy selection on Bernoulli instances."""
-    if isinstance(t, BernoulliInstance):
-        t = t.t
-    t = np.asarray(t, dtype=float)
-    return np.argsort(t, kind="mergesort")
+    return np.argsort(np.asarray(t, dtype=float), kind="mergesort")

@@ -11,14 +11,13 @@ import itertools
 import numpy as np
 import pytest
 
-from matprophet import (ArrivalOrder, BernoulliInstance, FixedRuleAlgorithm,
-                        GraphicRandomCut, PartitionMatroid, ProphetInstance,
-                        ThresholdRule, UniformMatroid,
-                        adversarial_order_search, blocking_probability,
-                        cut_bound_exact, cut_objective, derandomize_cut,
-                        ex_ante_reduce, expected_value_exact, make_baseline,
-                        monte_carlo_ratio, orient_low_indegree,
-                        prophet_value_exact, worst_case_order)
+from matprophet import (FixedRuleAlgorithm, GraphicRandomCut, PartitionMatroid,
+                        ProphetInstance, ThresholdRule, UniformMatroid,
+                        adversarial_order_search, bernoulli_to_dict,
+                        blocking_probability, cut_bound_exact, cut_objective,
+                        derandomize_cut, ex_ante_reduce, expected_value_exact,
+                        make_baseline, monte_carlo_ratio, orient_low_indegree,
+                        parse_instance, prophet_value_exact, worst_case_order)
 from matprophet.distributions import DiscreteDistribution
 from matprophet.engine import expected_rule_value, rule_pass_profile
 from matprophet.generate import (random_distribution, random_graph,
@@ -263,13 +262,12 @@ def test_worst_case_order_minimality():
             continue
         checked += 1
         red = ex_ante_reduce(base)
-        bern = BernoulliInstance(base.matroid, red.p, red.t)
-        inst = bern.to_prophet_instance()
+        inst = parse_instance(bernoulli_to_dict(base.matroid, red.p,
+                                                red.t)).instance
         rule = quantile_rule(inst, scale(red.p, 0.25))
         algo = FixedRuleAlgorithm(inst, rule)
-        ascending = ArrivalOrder(worst_case_order(red.t), "worst-case")
-        at_ascending = expected_rule_value(inst, rule, ascending)
-        _, found = adversarial_order_search(inst, algo, mode="exhaustive")
+        at_ascending = expected_rule_value(inst, rule, worst_case_order(red.t))
+        _, found = adversarial_order_search(inst, algo)
         slack = found - at_ascending
         worst = min(worst, slack)
         assert slack >= -EXACT_TOL, (slack, base.matroid)

@@ -6,9 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from matprophet import (BernoulliInstance, GraphicMatroid, PartitionMatroid,
-                        ProphetInstance, UniformMatroid, bernoulli_to_dict,
-                        load_instance, parse_instance, save_instance)
+from matprophet import (GraphicMatroid, PartitionMatroid, ProphetInstance,
+                        UniformMatroid, bernoulli_to_dict, load_instance,
+                        parse_instance, save_instance)
 from matprophet import generate, kernels
 from matprophet.cli import CSV_HEADER, _fmt, main, make_algorithm
 from matprophet.distributions import DiscreteDistribution
@@ -45,9 +45,9 @@ def test_round_trip_other_families(tmp_path):
 
 def test_round_trip_bernoulli(tmp_path):
     g = GraphicMatroid(3, [(0, 1), (1, 2), (0, 2)])
-    bern = BernoulliInstance(g, [0.5, 0.5, 0.375], [2.0, 1.5, 1.0])
     path = tmp_path / "b.json"
-    save_instance(path, bernoulli_to_dict(bern))
+    save_instance(path, bernoulli_to_dict(g, [0.5, 0.5, 0.375],
+                                          [2.0, 1.5, 1.0]))
     loaded = load_instance(path)
     assert loaded.is_bernoulli
     assert loaded.declared_p.tolist() == [0.5, 0.5, 0.375]
@@ -337,6 +337,42 @@ def test_exact_random_order_is_refused_before_any_work(tmp_path, capsys,
     assert "exact mode needs the worst-case order" in capsys.readouterr().err
 
 
+def test_baseline_family_is_checked_before_the_reduction(tmp_path, capsys,
+                                                        monkeypatch):
+    files = {
+        "graphic": ("--family", "graphic", "--vertices", 14, "--edges", 28),
+        "2-uniform": ("--family", "uniform", "--n", 4, "--k", 2),
+        "partition": ("--family", "partition", "--blocks", "2,2"),
+    }
+    for name, flags in files.items():
+        assert run_cli("gen", *flags, "--seed", 1,
+                       "--out", tmp_path / f"{name}.json") == 0
+    wrong = {
+        "samuel-cahn": ("graphic", "2-uniform", "partition"),
+        "kuniform-prob": ("graphic", "partition"),
+        "kuniform-optfrac": ("graphic", "partition"),
+        "partition": ("graphic", "2-uniform"),
+        "partition-optfrac": ("graphic", "2-uniform"),
+    }
+    calls = []
+
+    def never(*args, **kwargs):
+        calls.append(1)
+        raise AssertionError("the reduction ran before the family check")
+
+    monkeypatch.setattr("matprophet.cli.ex_ante_reduce", never)
+    capsys.readouterr()
+    for algo, families in wrong.items():
+        for family in families:
+            for mode in ("exact", "mc"):
+                assert run_cli("run", "--instance",
+                               tmp_path / f"{family}.json", "--algo", algo,
+                               "--mode", mode,
+                               "--out", tmp_path / "o") == 1
+                assert f"error: {algo} runs on " in capsys.readouterr().err
+    assert calls == []
+
+
 def test_derandomized_cut_is_refused_past_the_cap(tmp_path, capsys,
                                                   monkeypatch):
     # a Monte Carlo reduction enumerates nothing, but the conditional
@@ -448,8 +484,8 @@ def test_verify_suite_and_negative_control(tmp_path, capsys):
     run_cli("gen", "--family", "uniform", "--n", 3, "--k", 2, "--seed", 22,
             "--out", good / "u.json")
     g = GraphicMatroid(3, [(0, 1), (1, 2), (0, 2)])
-    bern = BernoulliInstance(g, [0.5, 0.5, 0.375], [2.0, 1.5, 1.0])
-    save_instance(good / "b.json", bernoulli_to_dict(bern))
+    bern = bernoulli_to_dict(g, [0.5, 0.5, 0.375], [2.0, 1.5, 1.0])
+    save_instance(good / "b.json", bern)
     assert run_cli("verify", "--suite", good) == 0
     out = capsys.readouterr().out
     assert "all checks passed" in out
@@ -457,8 +493,8 @@ def test_verify_suite_and_negative_control(tmp_path, capsys):
 
     # corrupt the declared vector: it leaves the polytope, nothing else
     # changes, and the verifier must catch it
-    doc = bernoulli_to_dict(bern)
-    doc["bernoulli"]["p"] = [0.9, 0.9, 0.9]
+    doc = dict(bern, bernoulli={"p": [0.9, 0.9, 0.9],
+                                "t": bern["bernoulli"]["t"]})
     save_instance(bad / "b.json", doc)
     assert run_cli("verify", "--suite", bad) == 3
     out = capsys.readouterr().out

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from matprophet import kernels
-from matprophet import (ArrivalOrder, FixedRuleAlgorithm, GraphicMatroid,
-                        GraphicRandomCut, ProphetInstance, ThresholdRule,
-                        UniformMatroid, adversarial_order_search,
+from matprophet import (FixedRuleAlgorithm, GraphicMatroid, GraphicRandomCut,
+                        ProphetInstance, ThresholdRule, UniformMatroid,
+                        adversarial_order_search, as_permutation,
                         ex_ante_reduce, execute_online, expected_rule_value,
                         expected_value_exact, monte_carlo_ratio,
                         prophet_value_exact, safe_ratio)
@@ -49,33 +49,47 @@ def test_threshold_rule_passes():
 
 
 def test_arrival_order_validation():
+    perm = as_permutation([2, 0, 1], 3)
+    assert perm.dtype == np.int64 and perm.tolist() == [2, 0, 1]
     with pytest.raises(ValueError):
-        ArrivalOrder([0, 0, 1])
-    with pytest.raises(ValueError):
-        ArrivalOrder([1, 2])
-    assert ArrivalOrder([2, 0, 1]).n == 3
+        perm[0] = 1  # frozen after the check
+    inst = k3_coins()
+    rule = ThresholdRule(np.ones(3), np.ones(3))
+    algo = FixedRuleAlgorithm(inst, rule)
+    entry_points = [
+        lambda order: as_permutation(order, 3),
+        lambda order: execute_online(inst, rule, order, np.ones(3),
+                                     np.zeros(3)),
+        lambda order: expected_rule_value(inst, rule, order),
+        lambda order: expected_value_exact(inst, algo, order),
+        lambda order: monte_carlo_ratio(inst, algo, 10, order=order),
+    ]
+    # (adversarial_order_search takes no order: each permutation it tries
+    # goes through expected_value_exact, and it returns its best one checked)
+    # A short order used to drop item 2: 1.0 where the full order gives 11/8.
+    for bad in ([0, 1], [0, 1, 2, 3], [0, 0, 1], [0, 1, 2.5], [[0, 1, 2]]):
+        for call in entry_points:
+            with pytest.raises(ValueError, match="not a permutation"):
+                call(bad)
 
 
 def test_execute_online_greedy_trace():
     inst = k3_coins()
     rule = ThresholdRule(np.full(3, 0.5), np.zeros(3))
-    rep = execute_online(inst, rule, [0, 1, 2], [1.0, 1.0, 1.0],
-                         atom_coins=np.zeros(3))
     # the third edge closes the triangle and is refused
-    assert rep.accepted == (0, 1)
-    assert rep.alg_value == 2.0
-    rep = execute_online(inst, rule, [2, 1, 0], [1.0, 1.0, 1.0],
-                         atom_coins=np.zeros(3))
-    assert rep.accepted == (2, 1)
+    assert execute_online(inst, rule, [0, 1, 2], [1.0, 1.0, 1.0],
+                          atom_coins=np.zeros(3)) == ((0, 1), 2.0)
+    assert execute_online(inst, rule, [2, 1, 0], [1.0, 1.0, 1.0],
+                          atom_coins=np.zeros(3)) == ((2, 1), 2.0)
 
 
 def test_execute_online_atom_coin():
     inst = ProphetInstance(UniformMatroid(1, 1), [coin])
     rule = ThresholdRule([1.0], [0.5])
-    hit = execute_online(inst, rule, [0], [1.0], atom_coins=[0.49])
-    miss = execute_online(inst, rule, [0], [1.0], atom_coins=[0.50])
-    assert hit.accepted == (0,) and hit.alg_value == 1.0
-    assert miss.accepted == () and miss.alg_value == 0.0
+    assert execute_online(inst, rule, [0], [1.0],
+                          atom_coins=[0.49]) == ((0,), 1.0)
+    assert execute_online(inst, rule, [0], [1.0],
+                          atom_coins=[0.50]) == ((), 0.0)
 
 
 def test_expected_rule_value_hand_examples():
@@ -98,13 +112,13 @@ def test_expected_rule_value_matches_simulation():
     for i, d in enumerate(inst.dists):
         thr[i], atom[i] = d.quantile_threshold(red.p[i] / 4.0)
     rule = ThresholdRule(thr, atom)
-    order = ArrivalOrder(np.arange(inst.n))
+    order = np.arange(inst.n)
     exact = expected_rule_value(inst, rule, order)
     trials = 200_000
     sim_rng = np.random.default_rng(11)
     values = values_from_uniform(inst, sim_rng.random((trials, inst.n)))
     passing = rule.passes(values, sim_rng.random((trials, inst.n)))
-    totals, _ = kernels.batched_greedy(inst.matroid, order.perm, passing,
+    totals, _ = kernels.batched_greedy(inst.matroid, order, passing,
                                        values)
     assert totals.mean() == pytest.approx(exact, abs=0.02)
 
@@ -137,7 +151,7 @@ def test_generic_paths_agree_with_kernels():
     for i, d in enumerate(inst.dists):
         thr[i], atom[i] = d.quantile_threshold(red.p[i] / 2.0)
     rule = ThresholdRule(thr, atom)
-    order = ArrivalOrder(np.arange(inst.n))
+    order = np.arange(inst.n)
     fast_val = expected_rule_value(inst, rule, order)
     slow_val = expected_rule_value(slow, rule, order)
     assert slow_val == pytest.approx(fast_val, abs=1e-12)
@@ -190,22 +204,22 @@ def test_accepted_sets_are_independent():
         rule = algo.build(rng)
         values = np.array([d.sample(rng) for d in inst.dists])
         coins = rng.random(inst.n)
-        rep = execute_online(inst, rule, np.arange(inst.n), values, coins)
-        assert inst.matroid.is_independent(rep.accepted)
+        accepted, _ = execute_online(inst, rule, np.arange(inst.n), values,
+                                     coins)
+        assert inst.matroid.is_independent(accepted)
         passing = rule.passes(values, coins)
-        assert all(passing[e] for e in rep.accepted)
+        assert all(passing[e] for e in accepted)
 
 
 def test_adversarial_search_exhaustive():
     inst = k3_coins()
     algo = FixedRuleAlgorithm(inst, ThresholdRule(np.ones(3), np.ones(3)))
-    order, val = adversarial_order_search(inst, algo)
-    want = min(expected_value_exact(inst, algo, ArrivalOrder(np.array(p)))
+    perm, val = adversarial_order_search(inst, algo)
+    want = min(expected_value_exact(inst, algo, p)
                for p in itertools.permutations(range(3)))
     assert val == pytest.approx(want, abs=1e-12)
-    assert order.tag == "adversarial-search"
-    local_order, local_val = adversarial_order_search(inst, algo, mode="local")
-    assert local_val >= val - 1e-12
+    assert perm.dtype == np.int64
+    assert expected_value_exact(inst, algo, perm) == val
 
 
 def test_adversarial_search_size_guard():
@@ -299,10 +313,9 @@ def test_random_order_mc_replays_per_trial_streams():
             rule = algo.build(trial_rng)
             values = sample_value_matrix(inst, trial_rng, 1)[0]
             coins = trial_rng.random(inst.n)
-            order = ArrivalOrder(trial_rng.permutation(inst.n), "random")
-            rep = execute_online(inst, rule, order, values, coins)
+            order = trial_rng.permutation(inst.n)
+            accepted, value = execute_online(inst, rule, order, values, coins)
             basis = inst.matroid.max_weight_basis(values)
-            assert alg[tr] == rep.alg_value
+            assert alg[tr] == value
             assert pro[tr] == sum(values[e] for e in basis)
-            assert acc[tr].tolist() == [e in rep.accepted
-                                        for e in range(inst.n)]
+            assert acc[tr].tolist() == [e in accepted for e in range(inst.n)]

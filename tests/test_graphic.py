@@ -5,8 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from matprophet import (ArrivalOrder, FixedRuleAlgorithm, GraphicMatroid,
-                        Orientation, blocking_probability, cut_bound_exact,
+from matprophet import (FixedRuleAlgorithm, GraphicMatroid, Orientation, blocking_probability, cut_bound_exact,
                         cut_objective, derandomize_cut, ex_ante_reduce,
                         expected_rule_value, expected_value_exact,
                         monte_carlo_ratio, orient_low_indegree,
@@ -83,27 +82,6 @@ def test_blocking_probability_path_pair():
     g = GraphicMatroid(3, [(0, 1), (1, 2), (0, 2)])
     b = blocking_probability(g, [0.5, 0.4, 0.25], [0, 1, 2], 0)
     assert b == pytest.approx(0.4 * 0.25, abs=1e-12)
-
-
-def test_blocking_probability_mc_agrees():
-    rng = np.random.default_rng(8)
-    inst = random_graphic_instance(rng, max_vertices=5, max_edges=7)
-    g = inst.matroid
-    p4 = scale(ex_ante_reduce(inst).p, 0.25)
-    subset = list(range(g.n))
-    for i in (0, g.n - 1):
-        exact = blocking_probability(g, p4, subset, i)
-        approx = blocking_probability(g, p4, subset, i, mode="mc",
-                                      trials=60_000, seed=5)
-        assert approx == pytest.approx(exact, abs=0.01)
-
-
-def test_blocking_probability_mc_needs_trials():
-    g = GraphicMatroid(3, [(0, 1), (1, 2), (0, 2)])
-    for trials in (0, -5):
-        with pytest.raises(ValueError, match="positive trial count"):
-            blocking_probability(g, [0.5, 0.5, 0.5], [0, 1, 2], 0,
-                                 mode="mc", trials=trials)
 
 
 def test_single_edge_cut_bound():
@@ -255,7 +233,7 @@ def test_exact_value_averages_every_cut_rule(monkeypatch):
         inst = random_graphic_instance(rng, max_vertices=5, max_edges=7)
         algo = GraphicRandomCut(inst)
         nv = inst.matroid.num_vertices
-        order = ArrivalOrder(worst_case_order(algo.reduction.t), "worst-case")
+        order = worst_case_order(algo.reduction.t)
         want = 0.0
         crossing_sets = set()
         for bits in itertools.product((False, True), repeat=nv):

@@ -138,10 +138,11 @@ def test_mc_online_matches_execute_online():
                                              coins, consider)
         for tr in range(trials):
             masked_thr = np.where(consider[tr], thr, np.inf)
-            rep = execute_online(inst, ThresholdRule(masked_thr, atom),
-                                 order, values[tr], atom_coins=coins[tr])
-            assert got[tr] == rep.alg_value
-            assert sorted(np.flatnonzero(acc[tr])) == sorted(rep.accepted)
+            accepted, value = execute_online(
+                inst, ThresholdRule(masked_thr, atom), order, values[tr],
+                atom_coins=coins[tr])
+            assert got[tr] == value
+            assert sorted(np.flatnonzero(acc[tr])) == sorted(accepted)
 
 
 def test_mc_max_weight_matches_oracle():

@@ -7,12 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from matprophet import (BernoulliInstance, GraphicMatroid, GraphicRandomCut,
-                        ProphetInstance, ThresholdRule, UniformMatroid,
+from matprophet import (GraphicMatroid, GraphicRandomCut, ProphetInstance,
+                        ThresholdRule, UniformMatroid, bernoulli_to_dict,
                         blocking_probability, cut_bound_exact,
                         derandomize_cut, ex_ante_reduce, expected_rule_value,
                         expected_value_exact, orient_low_indegree,
-                        prophet_value_exact, worst_case_order)
+                        parse_instance, prophet_value_exact, worst_case_order)
 from matprophet import kernels
 from matprophet.distributions import DiscreteDistribution
 from matprophet.errors import EnumerationCapError
@@ -126,31 +126,34 @@ def test_bernoulli_on_triangle():
     # instance's own optimum drops the cheap edge when both others are
     # active, so membership of edge 2 falls to 0.375 * 3/4 = 0.28125
     g = GraphicMatroid(3, [(0, 1), (1, 2), (0, 2)])
-    b = BernoulliInstance(g, [0.5, 0.5, 0.375], [2.0, 1.5, 1.0])
-    assert b.bound() == pytest.approx(0.5 * 2 + 0.5 * 1.5 + 0.375 * 1.0)
-    inst = b.to_prophet_instance()
+    p, t = [0.5, 0.5, 0.375], [2.0, 1.5, 1.0]
+    inst = parse_instance(bernoulli_to_dict(g, p, t)).instance
     red = ex_ante_reduce(inst)
     assert red.p == pytest.approx([0.5, 0.5, 0.28125], abs=1e-12)
     # positive two-point items are their own top slice, so prices survive
-    assert red.t == pytest.approx(b.t, abs=1e-12)
+    assert red.t == pytest.approx(t, abs=1e-12)
+    assert red.bound() == pytest.approx(0.5 * 2 + 0.5 * 1.5 + 0.28125 * 1.0)
     assert red.bound() >= prophet_value_exact(inst) - 1e-9
-    assert g.in_polytope(b.p)
+    assert g.in_polytope(p)
     with pytest.raises(ValueError):
-        BernoulliInstance(g, [0.5, 0.5, 1.5], [1.0, 1.0, 1.0])
+        parse_instance(bernoulli_to_dict(g, [0.5, 0.5, 1.5], [1.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
-        BernoulliInstance(g, [0.5, 0.5], [1.0, 1.0])
+        parse_instance(bernoulli_to_dict(g, [0.5, 0.5], [1.0, 1.0]))
 
 
 def test_bernoulli_round_trip_on_forest():
     # no cycles, so every active edge is selected and the reduction
     # recovers the declared vectors exactly
     g = GraphicMatroid(3, [(0, 1), (1, 2)])
-    b = BernoulliInstance(g, [0.5, 0.375], [2.0, 1.0])
-    red = ex_ante_reduce(b.to_prophet_instance())
-    assert red.p == pytest.approx(b.p, abs=1e-12)
-    assert red.t == pytest.approx(b.t, abs=1e-12)
-    assert red.bound() == pytest.approx(
-        prophet_value_exact(b.to_prophet_instance()), abs=1e-12)
+    p, t = [0.5, 0.375], [2.0, 1.0]
+    inst = parse_instance(bernoulli_to_dict(g, p, t)).instance
+    red = ex_ante_reduce(inst)
+    assert red.p == pytest.approx(p, abs=1e-12)
+    assert red.t == pytest.approx(t, abs=1e-12)
+    assert red.bound() == pytest.approx(prophet_value_exact(inst), abs=1e-12)
+    for a in (red.p, red.t):
+        with pytest.raises(ValueError):
+            a[0] = 0.0  # frozen after construction
 
 
 def test_worst_case_order_is_stable_ascending():
@@ -238,8 +241,7 @@ def test_feasibility_slack_is_computed_when_read(monkeypatch):
     assert calls == []
     first = red.feasibility_slack
     assert calls == [1]
-    assert red.feasibility_slack == first == slack(red.instance.matroid,
-                                                   red.p)
+    assert red.feasibility_slack == first == slack(red.matroid, red.p)
     assert calls == [1]
     # past the cap the slack stays None, and nothing is enumerated
     n = POLYTOPE_CAP + 1
