@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
+from . import kernels
 from .engine import FixedRuleAlgorithm, ThresholdRule
 from .matroids import PartitionMatroid, UniformMatroid
 from .reduction import ProphetInstance, prophet_value_exact
@@ -42,23 +43,6 @@ def _candidate_values(dists):
     return vals
 
 
-def _below_k_probability(dists, k, threshold, atom_pass):
-    """Pr[fewer than k items pass] for independent items."""
-    dp = np.zeros(k + 1)
-    dp[0] = 1.0
-    for d in dists:
-        r = d.prob_above(threshold) + atom_pass * d.prob_at(threshold)
-        ndp = np.zeros(k + 1)
-        for j in range(k + 1):
-            if dp[j] == 0.0:
-                continue
-            stay = min(j + 1, k)  # k bucket absorbs everything at or past k
-            ndp[stay] += dp[j] * r
-            ndp[j] += dp[j] * (1.0 - r)
-        dp = ndp
-    return float(dp[:k].sum())
-
-
 def kuniform_probabilistic_threshold(inst, k=None):
     """Threshold (plus atom coin) making Pr[fewer than k pass] exactly 1/2.
 
@@ -76,8 +60,10 @@ def kuniform_probabilistic_threshold(inst, k=None):
         return UniformThreshold(math.inf, 0.0, k, "probabilistic",
                                 degenerate=True)
     for v in _candidate_values(inst.dists):
-        closed = _below_k_probability(inst.dists, k, v, 0.0)  # coin never passes
-        open_ = _below_k_probability(inst.dists, k, v, 1.0)   # coin always passes
+        above = np.array([d.prob_above(v) for d in inst.dists])
+        at = np.array([d.prob_at(v) for d in inst.dists])
+        # Pr[fewer than k pass] when the atom coin never or always passes
+        closed, open_ = kernels.below_cap(above + np.outer([0.0, 1.0], at), k)
         # closed equals the previous candidate's open_, so the sweep is
         # continuous; the target is crossed inside the first segment whose
         # open_ end dips to 1/2.
@@ -86,9 +72,8 @@ def kuniform_probabilistic_threshold(inst, k=None):
                 return UniformThreshold(v, 0.0, k, "probabilistic")
             if open_ == HALF:
                 return UniformThreshold(v, 1.0, k, "probabilistic")
-            q = brentq(
-                lambda q: _below_k_probability(inst.dists, k, v, q) - HALF,
-                0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+            q = brentq(lambda q: kernels.below_cap(above + q * at, k) - HALF,
+                       0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
             return UniformThreshold(v, float(q), k, "probabilistic")
     raise AssertionError("threshold sweep failed to bracket 1/2")
 
@@ -100,16 +85,13 @@ def samuel_cahn_threshold(inst):
                             out.degenerate)
 
 
-def kuniform_opt_fraction_threshold(inst, k=None, cap=None, opt=None):
-    """T = offline expectation / (2k), plain comparison (ties pass). `opt`
-    is that expectation when the caller already holds it exactly; otherwise
-    it is enumerated."""
+def kuniform_opt_fraction_threshold(inst, k=None):
+    """T = offline expectation / (2k), plain comparison (ties pass)."""
     if k is None:
         k = _uniform_capacity(inst)
     if k < 1:
         return UniformThreshold(math.inf, 0.0, k, "opt-fraction")
-    if opt is None:
-        opt = prophet_value_exact(inst, cap=cap)
+    opt = prophet_value_exact(inst)
     return UniformThreshold(opt / (2.0 * k), 1.0, k, "opt-fraction")
 
 
@@ -119,7 +101,7 @@ def _uniform_capacity(inst):
     return inst.matroid.k
 
 
-def partition_thresholds(inst, method="probabilistic", cap=None):
+def partition_thresholds(inst, method="probabilistic"):
     """Per-block uniform thresholds assembled into one rule.
 
     A block that degenerates under the probabilistic calibration falls back
@@ -141,9 +123,9 @@ def partition_thresholds(inst, method="probabilistic", cap=None):
         if method == "probabilistic":
             ut = kuniform_probabilistic_threshold(sub, k)
             if ut.degenerate:
-                ut = kuniform_opt_fraction_threshold(sub, k, cap=cap)
+                ut = kuniform_opt_fraction_threshold(sub, k)
         elif method == "opt-fraction":
-            ut = kuniform_opt_fraction_threshold(sub, k, cap=cap)
+            ut = kuniform_opt_fraction_threshold(sub, k)
         else:
             raise ValueError(f"unknown method {method!r}")
         for e in block:
@@ -184,7 +166,7 @@ def require_family(inst, name):
         raise ValueError(f"{name} runs on {family}")
 
 
-def make_baseline(inst, name, cap=None, reduction=None):
+def make_baseline(inst, name, reduction=None):
     """Build a baseline by CLI name. `reduction` is the ex-ante reduction
     its worst-case order comes from (by default the exact one, computed
     when first read)."""
@@ -194,12 +176,9 @@ def make_baseline(inst, name, cap=None, reduction=None):
     elif name == "kuniform-prob":
         ut = kuniform_probabilistic_threshold(inst)
     elif name == "kuniform-optfrac":
-        # an exact reduction already holds the prophet value
-        exact = reduction is not None and reduction.mode == "exact"
-        ut = kuniform_opt_fraction_threshold(
-            inst, cap=cap, opt=reduction.prophet_value if exact else None)
+        ut = kuniform_opt_fraction_threshold(inst)
     else:
         method = "opt-fraction" if name.endswith("optfrac") else "probabilistic"
-        rule, per_block = partition_thresholds(inst, method, cap=cap)
+        rule, per_block = partition_thresholds(inst, method)
         return BaselineAlgorithm(inst, rule, name, per_block, reduction)
     return BaselineAlgorithm(inst, ut.to_rule(inst.n), name, ut, reduction)

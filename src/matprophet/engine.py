@@ -162,6 +162,9 @@ def expected_rule_value(inst, rule, order, cap=None):
     perm = as_permutation(order, inst.n)
     r, tau = rule_pass_profile(inst, rule)
     cons = perm[r[perm] > 0.0]
+    blocks = kernels.partition_args(inst.matroid)
+    if blocks is not None:
+        return kernels.counting_rule_value(*blocks, cons, r, tau)
     check_enum_cap(2 ** len(cons), f"2^{len(cons)} pass patterns", cap)
     return kernels.rule_value_exact(inst.matroid, cons, r, tau)
 

@@ -111,30 +111,28 @@ def cut_objective(g, p_scaled, t, orientation, in_a):
 
 
 def cut_bound_exact(g, p_scaled, t, orientation, cap=None):
-    """Exact expectation of the cut objective over the uniform random cut;
-    at least one eighth of sum(p_scaled * t)."""
-    check_enum_cap(2 ** g.num_vertices, f"2^{g.num_vertices} cuts", cap)
-    assign = np.full(g.num_vertices, -1, dtype=np.int8)
-    return float(kernels.expected_cut_objective(
-        g, orientation.heads, np.asarray(p_scaled, dtype=float),
-        np.asarray(t, dtype=float), assign))
+    """Exact expectation of the cut objective over the uniform random cut,
+    the mean of cut_table; at least one eighth of sum(p_scaled * t)."""
+    table = cut_table(g, p_scaled, t, orientation, cap)
+    return float(kernels.running_sum(0.0, table) / table.size)
 
 
-def derandomize_cut(g, p_scaled, t, orientation, cap=None):
-    """Fix vertex sides one at a time by conditional expectations; the
-    resulting cut's objective is at least the random-cut expectation.
-    Returns the cut as a read-only side-A indicator per vertex.
-
-    Every cut's objective comes from one table, indexed by the mask with
-    bit j set when vertex j is on side A. Fixing vertex v compares the
-    averages over the completions of vertices v+1.., summed in mask order.
-    """
+def cut_table(g, p_scaled, t, orientation, cap=None):
+    """The objective of every cut, indexed by the mask with bit j set when
+    vertex j is on side A (table[mask] is cut_objective of that cut, bit
+    for bit), behind one check of its 2^V cuts."""
     nv = g.num_vertices
     check_enum_cap(2 ** nv, f"2^{nv} cuts", cap)
-    table = kernels.cut_objectives(
+    return kernels.cut_objectives(
         g, orientation.heads, np.asarray(p_scaled, dtype=float),
         np.asarray(t, dtype=float),
         np.concatenate(list(kernels.subset_rows(nv))))
+
+
+def conditional_cut(table):
+    """Mask of the cut that conditional expectations fix: vertex v goes to
+    the side whose completions (v+1.., summed in mask order) average more."""
+    nv = table.size.bit_length() - 1
     base = 0
     for v in range(nv):
         rest = np.arange(1 << (nv - v - 1)) << (v + 1)
@@ -143,7 +141,15 @@ def derandomize_cut(g, p_scaled, t, orientation, cap=None):
         with_b = kernels.running_sum(0.0, table[base + rest]) / rest.size
         if with_a >= with_b:
             base += 1 << v
-    in_a = (base >> np.arange(nv)) & 1 == 1
+    return base
+
+
+def derandomize_cut(g, p_scaled, t, orientation, cap=None):
+    """Fix vertex sides one at a time by conditional expectations; the
+    resulting cut's objective is at least the random-cut expectation.
+    Returns the cut as a read-only side-A indicator per vertex."""
+    base = conditional_cut(cut_table(g, p_scaled, t, orientation, cap))
+    in_a = (base >> np.arange(g.num_vertices)) & 1 == 1
     in_a.flags.writeable = False
     return in_a
 

@@ -8,12 +8,12 @@ component labels, partition and uniform matroids per-row block counts
 kind 1 is capacitated partition (block_id, caps)); any other Matroid is
 checked row by row through its is_independent oracle.
 
-Every exact or Monte Carlo computation builds blocks of rows (outcomes,
-pass patterns, activation masks, cuts, polytope subsets, sampled trials)
-and calls the primitive; every sweep over the subsets of k items takes its
-rows from `subset_rows`.
-Sums run left to right in enumeration order, so each result equals the one
-a plain loop over the rows gives, bit for bit.
+Every Monte Carlo computation, and every exact one but the counting DP of
+uniform and partition matroids (`below_cap`), builds blocks of rows
+(outcomes, pass patterns, activation masks, cuts, polytope subsets, trials)
+and calls the primitive; every subset sweep takes its rows from
+`subset_rows`. Sums run left to right in enumeration order, so each result
+equals the one a plain loop over the rows gives, bit for bit.
 """
 
 import numpy as np
@@ -149,6 +149,56 @@ def exact_reduce(m, offsets, sup_values, sup_probs):
         for i in range(sizes.size):
             p[i] = running_sum(p[i], prob[accepted[:, i]])
     return float(opt), p
+
+
+def partition_args(m):
+    """(block_id, caps) of a uniform or partition matroid (kernel_args kind
+    1, which exact mode counts instead of enumerating), else None."""
+    args = m.kernel_args()
+    return args[4:] if args is not None and args[0] == KIND_PARTITION else None
+
+
+def below_cap(probs, caps):
+    """Per row of probs (..., m): Pr[fewer than caps (an int, or one per
+    row) of m independent events occur], event j with probability
+    probs[..., j]. A Poisson-binomial counting DP over the columns."""
+    probs = np.asarray(probs, dtype=float)
+    caps = np.minimum(caps, probs.shape[-1] + 1)
+    dp = np.zeros(probs.shape[:-1] + (int(np.max(caps, initial=0)),))
+    dp[..., :1] = 1.0
+    for j in range(probs.shape[-1]):
+        moved = dp[..., :-1] * probs[..., j, None]
+        dp *= 1.0 - probs[..., j, None]
+        dp[..., 1:] += moved
+    return np.where(np.arange(dp.shape[-1]) < caps[..., None], dp, 0.0) \
+        .sum(axis=-1)
+
+
+def counting_reduce(block_id, caps, offsets, sup_values, sup_probs):
+    """exact_reduce for a capacitated partition, one below_cap row per
+    support point: item i with value x > 0 is selected exactly when fewer
+    than its block's capacity of the other members precede it, member f
+    when X_f > x, or X_f == x and f < i (greedy's tie order)."""
+    n = offsets.size - 1
+    item = np.repeat(np.arange(n), np.diff(offsets))
+    b = block_id[item]
+    x = sup_values[:, None]
+    ahead = (sup_values > x) | ((sup_values == x) & (item < item[:, None]))
+    ahead &= (b == b[:, None]) & (item != item[:, None])
+    mass = np.where(ahead, sup_probs, 0.0) @ (item[:, None] == np.arange(n))
+    keep = below_cap(mass, caps[b]) * sup_probs * (sup_values > 0.0)
+    return float(keep @ sup_values), np.bincount(item, keep, minlength=n)
+
+
+def counting_rule_value(block_id, caps, cons, pass_probs, cond_values):
+    """rule_value_exact for a capacitated partition: the item at position
+    j of cons is accepted when it passes and fewer than its block's
+    capacity of the block members before it passed."""
+    b = block_id[cons]
+    earlier = (b == b[:, None]) & np.tri(cons.size, k=-1, dtype=bool)
+    r = pass_probs[cons]
+    keep = below_cap(np.where(earlier, r, 0.0), caps[b])
+    return float(running_sum(0.0, r * cond_values[cons] * keep))
 
 
 def subset_rows(k, step=ENUM_BLOCK):

@@ -4,7 +4,8 @@ membership in the independent-set polytope.
 Elements are integers 0..n-1. Three concrete families are provided (graphic,
 uniform, partition); anything else can subclass Matroid and only supply
 is_independent. Each family defines itself by is_independent; rank, bases
-and polytope slack all run kernels.batched_greedy.
+and polytope slack run kernels.batched_greedy (the slack of a uniform or
+partition matroid sorts instead).
 """
 
 import itertools
@@ -87,7 +88,7 @@ class Matroid:
 
         Each subset is one greedy row in index order, so its rank is the
         number of items the row accepts; p(S) adds left to right in index
-        order."""
+        order. Uniform and partition matroids sort (_partition_slack)."""
         pv = np.asarray(p, dtype=float)
         if pv.shape != (self.n,):
             raise ValueError(f"expected {self.n} entries, got shape {pv.shape}")
@@ -97,6 +98,9 @@ class Matroid:
             raise EnumerationCapError(
                 f"polytope check enumerates subsets; {self.n} elements "
                 f"exceeds the cap of {POLYTOPE_CAP}")
+        blocks = kernels.partition_args(self)
+        if blocks is not None:
+            return _partition_slack(pv, *blocks)
         best = np.inf
         for bits in kernels.subset_rows(self.n):
             _, accepted = kernels.batched_greedy(self, np.arange(self.n),
@@ -116,6 +120,19 @@ class Matroid:
         """(kind, num_vertices, eu, ev, block_id, caps) for
         kernels.batched_greedy, or None to have it ask is_independent."""
         return None
+
+
+def _partition_slack(p, block_id, caps):
+    """polytope_slack of a capacitated partition. In block b the s largest
+    entries leave the least slack among s-subsets: its minimum is m_b = min
+    over s of min(s, cap_b) - (top-s sum). A subset joins block parts, one
+    nonempty: the slack is the sum of the negative m_b, else the least."""
+    tops = [np.cumsum(np.sort(p[block_id == b])[::-1])
+            for b in range(caps.size)]
+    mins = [float(np.min(np.minimum(np.arange(1, top.size + 1), cap) - top))
+            for top, cap in zip(tops, caps.tolist()) if top.size]
+    negative = [m for m in mins if m < 0.0]
+    return sum(negative) if negative else min(mins, default=np.inf)
 
 
 class GraphicMatroid(Matroid):

@@ -100,9 +100,12 @@ def _support_arrays(inst):
 
 
 def _exact_opt_and_membership(inst, cap=None):
+    offsets, values, probs = _support_arrays(inst)
+    blocks = kernels.partition_args(inst.matroid)
+    if blocks is not None:
+        return kernels.counting_reduce(*blocks, offsets, values, probs)
     count = inst.outcome_count()
     check_enum_cap(count, f"{count} product outcomes", cap)
-    offsets, values, probs = _support_arrays(inst)
     return kernels.exact_reduce(inst.matroid, offsets, values, probs)
 
 
@@ -142,7 +145,7 @@ def _mc_opt_and_membership(inst, trials, seed):
 
 
 def prophet_value_exact(inst, cap=None):
-    """Expected offline max-weight value, by outcome enumeration."""
+    """Expected offline max-weight value, exact (as in ex_ante_reduce)."""
     opt, _ = _exact_opt_and_membership(inst, cap)
     return opt
 
@@ -150,10 +153,10 @@ def prophet_value_exact(inst, cap=None):
 def ex_ante_reduce(inst, mode="exact", trials=100_000, seed=0, cap=None):
     """Reduce a prophet instance to its ex-ante Bernoulli form.
 
-    Exact mode enumerates the outcome product (cap-guarded); mc mode samples
-    realizations and uses membership frequencies, which stay inside the
-    matroid polytope by construction. The prophet value comes from the same
-    enumeration or sample; the feasibility slack is computed when read.
+    Exact mode enumerates the outcome product (cap-guarded) or counts on a
+    uniform or partition matroid; mc mode samples realizations and uses
+    membership frequencies, inside the matroid polytope by construction. The
+    prophet value comes from the same run; the slack is computed when read.
     """
     if mode == "exact":
         opt, p = _exact_opt_and_membership(inst, cap)

@@ -11,7 +11,6 @@ from matprophet import (PartitionMatroid, ProphetInstance, UniformMatroid,
                         partition_thresholds, prophet_value_exact,
                         samuel_cahn_threshold)
 from matprophet import kernels
-from matprophet.baselines import _below_k_probability
 from matprophet.distributions import DiscreteDistribution
 from matprophet.engine import expected_value_exact
 from matprophet.generate import (random_partition_instance,
@@ -25,6 +24,30 @@ def one_of(dists):
     return ProphetInstance(UniformMatroid(len(dists), 1), list(dists))
 
 
+def _below_k_probability(dists, k, threshold, atom_pass):
+    """Pr[fewer than k items pass] at one shared threshold."""
+    return float(kernels.below_cap(
+        [d.prob_above(threshold) + atom_pass * d.prob_at(threshold)
+         for d in dists], k))
+
+
+def loop_below_k(r, k):
+    """The baselines' former counting loop: k + 1 buckets, the last one
+    absorbing every count at or past k."""
+    dp = np.zeros(k + 1)
+    dp[0] = 1.0
+    for ri in r:
+        ndp = np.zeros(k + 1)
+        for j in range(k + 1):
+            if dp[j] == 0.0:
+                continue
+            stay = min(j + 1, k)
+            ndp[stay] += dp[j] * ri
+            ndp[j] += dp[j] * (1.0 - ri)
+        dp = ndp
+    return float(dp[:k].sum())
+
+
 def test_below_k_probability():
     dists = [coin, coin, coin]
     # fewer than 2 of three fair passes at threshold 0 (strict)
@@ -33,6 +56,20 @@ def test_below_k_probability():
     # at threshold 1 nothing passes unless the atom coin is open
     assert _below_k_probability(dists, 1, 1.0, 0.0) == pytest.approx(1.0)
     assert _below_k_probability(dists, 1, 1.0, 1.0) == pytest.approx(0.125)
+    # with one cap the counting DP is the former loop bit for bit, so no
+    # calibrated threshold moves; rows with their own caps sum padded
+    # rows, equal up to rounding
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        m = int(rng.integers(0, 13))
+        r = rng.random(m)
+        r[rng.random(m) < 0.2] = rng.choice([0.0, 1.0])
+        k = int(rng.integers(1, m + 2))
+        assert kernels.below_cap(r, k) == loop_below_k(r, k)
+    rows = rng.random((5, 7))
+    caps = np.array([0, 1, 3, 7, 9])
+    want = [loop_below_k(row, c) if c else 0.0 for row, c in zip(rows, caps)]
+    assert kernels.below_cap(rows, caps) == pytest.approx(want, rel=1e-12)
 
 
 def test_two_coins_threshold():
@@ -93,25 +130,36 @@ def test_opt_fraction_threshold():
 
 
 def test_opt_fraction_reuses_an_exact_reduction(monkeypatch):
+    # the prophet value behind the price is counted, never enumerated:
+    # one counting DP per price, whatever reduction the baseline is given,
+    # and the price equals an exact reduction's prophet value over 2k
     calls = []
-    exact_reduce = kernels.exact_reduce
+    counting_reduce = kernels.counting_reduce
 
     def counted(*args):
         calls.append(1)
-        return exact_reduce(*args)
+        return counting_reduce(*args)
 
-    monkeypatch.setattr(kernels, "exact_reduce", counted)
+    def never(*args):
+        raise AssertionError("a uniform instance was enumerated")
+
+    monkeypatch.setattr(kernels, "counting_reduce", counted)
+    monkeypatch.setattr(kernels, "exact_reduce", never)
     rng = np.random.default_rng(31)
     for case in range(6):
         inst = random_uniform_instance(rng, max_n=5)
-        own = make_baseline(inst, "kuniform-optfrac")
         calls.clear()
-        exact = make_baseline(inst, "kuniform-optfrac",
-                              reduction=ex_ante_reduce(inst))
-        assert len(calls) == 1  # the reduction's enumeration, no second
+        own = make_baseline(inst, "kuniform-optfrac")
+        assert len(calls) == 1
+        red = ex_ante_reduce(inst)
+        calls.clear()
+        exact = make_baseline(inst, "kuniform-optfrac", reduction=red)
+        assert len(calls) == 1
         mc = make_baseline(inst, "kuniform-optfrac", reduction=ex_ante_reduce(
             inst, mode="mc", trials=500, seed=case))
-        assert len(calls) == 2  # an mc reduction holds no exact value
+        assert len(calls) == 2
+        assert own.info.threshold == \
+            red.prophet_value / (2.0 * inst.matroid.k)
         for algo in (exact, mc):
             assert algo.info == own.info
             assert algo.rule.thresholds.tobytes() == \

@@ -286,8 +286,13 @@ def test_exit_codes(tmp_path):
     # missing file
     assert run_cli("run", "--instance", tmp_path / "nope.json", "--algo",
                    "samuel-cahn", "--out", tmp_path / "o") == 1
-    # enumeration cap
-    assert run_cli("reduce", "--instance", inst_path, "--cap", 2) == 2
+    # enumeration cap: it limits a graphic instance; a uniform one is
+    # counted, not enumerated
+    graph_path = tmp_path / "g.json"
+    run_cli("gen", "--family", "graphic", "--vertices", 3, "--edges", 3,
+            "--seed", 1, "--out", graph_path)
+    assert run_cli("reduce", "--instance", graph_path, "--cap", 2) == 2
+    assert run_cli("reduce", "--instance", inst_path, "--cap", 2) == 0
     # random order cannot be computed exactly
     assert run_cli("run", "--instance", inst_path, "--algo", "samuel-cahn",
                    "--mode", "exact", "--order", "random",
@@ -442,17 +447,47 @@ def test_verify_enumerates_a_uniform_instance_once(tmp_path, capsys,
     assert run_cli("verify", "--suite", inst_path) == 0
     before = capsys.readouterr().out
     calls = []
-    exact_reduce = kernels.exact_reduce
+    counting_reduce = kernels.counting_reduce
 
     def counted(*args):
         calls.append(1)
-        return exact_reduce(*args)
+        return counting_reduce(*args)
 
-    monkeypatch.setattr(kernels, "exact_reduce", counted)
+    def never(*args):
+        raise AssertionError("a uniform instance was enumerated")
+
+    sweeps = []
+    subset_rows = kernels.subset_rows
+
+    def swept(k, *args):
+        sweeps.append(k)
+        return subset_rows(k, *args)
+
+    monkeypatch.setattr(kernels, "counting_reduce", counted)
+    monkeypatch.setattr(kernels, "exact_reduce", never)
+    monkeypatch.setattr(kernels, "subset_rows", swept)
     assert run_cli("verify", "--suite", inst_path) == 0
-    # the reduction's enumeration also prices kuniform-optfrac
-    assert len(calls) == 1
+    # one count for the instance's reduction, one for kuniform-optfrac's
+    # price; no outcome is enumerated, and no subset swept (the baselines
+    # flip no coin: each exact value runs over the 2^0 coin rows)
+    assert len(calls) == 2
+    assert sweeps == [0, 0]
     assert capsys.readouterr().out == before
+
+
+def test_uniform_exact_mode_passes_the_cap(tmp_path, monkeypatch):
+    # 2^40 outcomes, far past the default cap: counted, never enumerated
+    monkeypatch.delenv("MATPROPHET_ENUM_CAP", raising=False)
+    inst_path = tmp_path / "u.json"
+    run_cli("gen", "--family", "uniform", "--n", 40, "--k", 5,
+            "--support-size", 2, "--seed", 6, "--out", inst_path)
+    assert load_instance(inst_path).instance.outcome_count() == 2 ** 40
+    assert run_cli("run", "--instance", inst_path, "--algo", "kuniform-prob",
+                   "--mode", "exact", "--out", tmp_path / "exact") == 0
+    summary = json.loads((tmp_path / "exact.summary.json").read_text())
+    assert summary["ratio"] >= 0.5 - 1e-9
+    assert summary["feasibility_slack"] is None  # past POLYTOPE_CAP
+    assert run_cli("verify", "--suite", inst_path) == 0
 
 
 def test_baseline_reduction_follows_run_settings(tmp_path, monkeypatch):

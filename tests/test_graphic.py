@@ -12,7 +12,8 @@ from matprophet import (FixedRuleAlgorithm, GraphicMatroid, Orientation, blockin
                         worst_case_order)
 from matprophet import engine, kernels
 from matprophet.generate import random_graph, random_graphic_instance
-from matprophet.graphic import GraphicDerandomizedCut, GraphicRandomCut
+from matprophet.graphic import (GraphicDerandomizedCut, GraphicRandomCut,
+                                conditional_cut, cut_table)
 from matprophet.matroids import scale
 
 
@@ -196,6 +197,13 @@ def test_crossing_set_reuse_is_bit_identical():
         cut = derandomize_cut(g, p, t, o)
         assert not cut.flags.writeable
         assert cut.tolist() == per_vertex_derandomized_cut(g, p, t, o).tolist()
+        # verify reads all three from one table of the 2^V cuts
+        table = cut_table(g, p, t, o)
+        assert kernels.running_sum(0.0, table) / table.size == \
+            cut_bound_exact(g, p, t, o)
+        mask = conditional_cut(table)
+        assert mask == sum(1 << v for v in np.flatnonzero(cut).tolist())
+        assert table[mask] == cut_objective(g, p, t, o, cut)
 
 
 def test_rule_for_cut_opens_only_crossing_edges():

@@ -9,7 +9,9 @@ import pytest
 from matprophet import (GraphicMatroid, PartitionMatroid, ProphetInstance,
                         ThresholdRule, UniformMatroid, execute_online,
                         kernels)
-from matprophet.generate import random_distribution
+from matprophet.generate import (random_distribution,
+                                 random_partition_instance,
+                                 random_uniform_instance)
 from matprophet.reduction import _support_arrays
 
 rng0 = np.random.default_rng
@@ -252,3 +254,43 @@ def test_connect_probability_matches_bruteforce():
             if find(int(g.eu[target])) == find(int(g.ev[target])):
                 want += pr
         assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_counting_matches_enumeration():
+    # uniform and partition matroids count instead of enumerating; the
+    # enumeration stays their oracle, within 1e-12 relative
+    rng = rng0(6)
+    for case in range(60):
+        support = 2 if case % 2 else 3
+        if case % 5 == 4:
+            # zero capacities and supports of one to three values
+            m = random_matroid(rng)
+            while kernels.partition_args(m) is None:
+                m = random_matroid(rng)
+            inst = ProphetInstance(m, [random_distribution(
+                rng, support_size=int(rng.integers(1, 4)))
+                for _ in range(m.n)])
+        elif case % 5 < 2:
+            inst = random_uniform_instance(
+                rng, max_n=12 if support == 2 else 8, support_size=support)
+        else:
+            inst = random_partition_instance(
+                rng, max_blocks=4, max_block_size=3 if support == 2 else 2,
+                support_size=support)
+        m = inst.matroid
+        offsets, sup_values, sup_probs = _support_arrays(inst)
+        blocks = kernels.partition_args(m)
+        opt, p = kernels.counting_reduce(*blocks, offsets, sup_values,
+                                         sup_probs)
+        want_opt, want_p = kernels.exact_reduce(m, offsets, sup_values,
+                                                sup_probs)
+        assert opt == pytest.approx(want_opt, rel=1e-12)
+        assert p == pytest.approx(want_p, rel=1e-12)
+        r = np.round(rng.random(m.n), 3)
+        r[rng.random(m.n) < 0.25] = 0.0
+        tau = np.round(rng.random(m.n) * 4, 3)
+        order = rng.permutation(m.n)
+        cons = order[r[order] > 0]
+        assert kernels.counting_rule_value(*blocks, cons, r, tau) == \
+            pytest.approx(kernels.rule_value_exact(m, cons, r, tau),
+                          rel=1e-12)

@@ -1,6 +1,7 @@
 """Matroid oracles: axioms, ranks, bases, polytope membership."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -170,9 +171,31 @@ def test_polytope_membership_k3():
     assert not m.in_polytope([1.0, 1.0, 0.1])
 
 
+def sorted_prefix_slack(m, p):
+    """polytope_slack of a uniform or partition matroid by hand: in each
+    block the s largest entries leave the least slack among its s-subsets;
+    the blocks' minima add when negative."""
+    if isinstance(m, UniformMatroid):
+        blocks, caps = [range(m.n)], [m.k]
+    else:
+        blocks, caps = m.blocks, m.capacities
+    mins = []
+    for block, cap in zip(blocks, caps):
+        top, least = 0.0, math.inf
+        for s, x in enumerate(sorted((p[e] for e in block), reverse=True), 1):
+            top += x
+            least = min(least, min(s, cap) - top)
+        if block:
+            mins.append(least)
+    negative = [x for x in mins if x < 0.0]
+    return sum(negative) if negative else min(mins, default=math.inf)
+
+
 def test_polytope_slack_bruteforce():
-    # the brute force adds p(S) left to right in index order, as the
-    # sweep does, so the two agree exactly
+    # the graphic sweep adds p(S) left to right in index order, as the
+    # brute force does, so the two agree exactly; uniform and partition
+    # matroids take the sorted prefixes, exact against the same by hand
+    # and within 1e-12 of the brute force, which sums in another order
     rng = np.random.default_rng(5)
     cases = [(GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]),
               40)]
@@ -186,8 +209,14 @@ def test_polytope_slack_bruteforce():
             p = random_polytope_point(m, rng) if j % 2 else rng.random(m.n)
             want = min(r - sum(p[e] for e in s)
                        for r, s in zip(ranks, subsets))
-            assert m.polytope_slack(p) == want
-    for m in (GraphicMatroid(3, []), UniformMatroid(0, 0)):
+            got = m.polytope_slack(p)
+            if isinstance(m, GraphicMatroid):
+                assert got == want
+            else:
+                assert got == sorted_prefix_slack(m, p)
+                assert got == pytest.approx(want, rel=0, abs=1e-12)
+    for m in (GraphicMatroid(3, []), UniformMatroid(0, 0),
+              PartitionMatroid([(), ()], [1, 0])):
         assert m.polytope_slack(np.zeros(0)) == np.inf
 
 

@@ -188,9 +188,15 @@ def test_coupled_sample_matches_quantile():
 
 def test_outcome_cap():
     rng = np.random.default_rng(0)
-    inst = random_uniform_instance(rng, max_n=4)
+    inst = random_graphic_instance(rng, max_vertices=4, max_edges=4)
+    assert inst.outcome_count() > 2
     with pytest.raises(EnumerationCapError):
         prophet_value_exact(inst, cap=2)
+    # a uniform instance is counted, not enumerated: the cap does not
+    # reach it
+    inst = random_uniform_instance(rng, max_n=4)
+    assert inst.outcome_count() > 2
+    assert prophet_value_exact(inst, cap=2) == prophet_value_exact(inst)
 
 
 def test_values_from_uniform_is_the_sampler():
