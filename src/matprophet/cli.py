@@ -183,11 +183,10 @@ def cmd_run(args):
     summary["priced_bound"] = red.bound()
     summary["feasibility_slack"] = _json_num(red.feasibility_slack)
     if args.algo in GRAPHIC_ALGOS:
-        design = algo.design
-        o = design.orientation
-        summary["p_scaled"] = design.p_scaled.tolist()
+        o = algo.orientation
+        summary["p_scaled"] = algo.p_scaled.tolist()
         summary["orientation_heads"] = o.heads.tolist()
-        summary["in_mass"] = o.in_mass(design.p_scaled).tolist()
+        summary["in_mass"] = o.in_mass(algo.p_scaled).tolist()
         if args.algo == "graphic-derandomized":
             summary["cut_side_a"] = np.flatnonzero(algo.cut).tolist()
             summary["considered"] = np.flatnonzero(
@@ -235,18 +234,14 @@ def cmd_reduce(args):
 
 
 def cmd_orient(args):
-    loaded = load_instance(args.instance)
-    inst = loaded.instance
-    if not isinstance(inst.matroid, GraphicMatroid):
-        raise ValueError("orient needs a graphic instance")
-    red = ex_ante_reduce(inst, mode=args.mode, trials=args.trials,
-                         seed=args.seed, cap=args.cap)
-    design = GraphicRandomCut(inst, red).design
-    o = design.orientation
-    in_mass = o.in_mass(design.p_scaled)
+    algo = make_algorithm(load_instance(args.instance).instance,
+                          "graphic-random-cut", mode=args.mode,
+                          trials=args.trials, seed=args.seed, cap=args.cap)
+    o = algo.orientation
+    in_mass = o.in_mass(algo.p_scaled)
     doc = {
-        "p": design.reduction.p.tolist(),
-        "p_scaled": design.p_scaled.tolist(),
+        "p": algo.reduction.p.tolist(),
+        "p_scaled": algo.p_scaled.tolist(),
         "heads": o.heads.tolist(),
         "tails": o.tails.tolist(),
         "in_mass": in_mass.tolist(),
@@ -274,7 +269,7 @@ def _verify_instance(loaded, cap):
 
     graphic = isinstance(inst.matroid, GraphicMatroid)
     red = ex_ante_reduce(inst, cap=cap)
-    # one design serves the graphic checks and the online value
+    # one algorithm serves the graphic checks and the online value
     algo = GraphicRandomCut(inst, red) if graphic else None
     opt = red.prophet_value
 
@@ -291,7 +286,7 @@ def _verify_instance(loaded, cap):
 
     if graphic:
         g = inst.matroid
-        p_scaled, o = algo.design.p_scaled, algo.design.orientation
+        p_scaled, o = algo.p_scaled, algo.orientation
         in_mass = o.in_mass(p_scaled)
         worst = float(in_mass.max()) if in_mass.size else 0.0
         yield ("orientation-mass", worst <= 0.5 + mass_tol, 0.5 - worst, "")
@@ -383,36 +378,32 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("run", help="run one algorithm on one instance")
-    p.add_argument("--instance", required=True)
+    # the reduction every run, reduce and orient builds first
+    reduction = argparse.ArgumentParser(add_help=False)
+    reduction.add_argument("--instance", required=True)
+    reduction.add_argument("--mode", choices=("exact", "mc"), default="exact")
+    reduction.add_argument("--trials", type=int, default=100_000)
+    reduction.add_argument("--seed", type=int, default=0)
+    reduction.add_argument("--cap", type=int, default=None)
+
+    p = sub.add_parser("run", parents=[reduction],
+                       help="run one algorithm on one instance")
     p.add_argument("--algo", required=True,
                    choices=GRAPHIC_ALGOS + BASELINE_ALGOS)
-    p.add_argument("--mode", choices=("exact", "mc"), default="exact")
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--order", choices=("worst-case", "random"),
                    default="worst-case")
     p.add_argument("--level", type=_level, default=0.99)
-    p.add_argument("--cap", type=int, default=None)
     p.add_argument("--out", required=True,
                    help="output prefix for .csv and .summary.json")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("reduce", help="ex-ante probabilities and prices")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--mode", choices=("exact", "mc"), default="exact")
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=None)
+    p = sub.add_parser("reduce", parents=[reduction],
+                       help="ex-ante probabilities and prices")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("orient", help="low-indegree edge orientation")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--mode", choices=("exact", "mc"), default="exact")
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=None)
+    p = sub.add_parser("orient", parents=[reduction],
+                       help="low-indegree edge orientation")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_orient)
 

@@ -186,17 +186,12 @@ def expected_value_exact(inst, algo, order="worst_case", cap=None):
     order = resolve_order(inst, order, algo)
     k = algo.coins
     check_enum_cap(2 ** k, f"2^{k} coin patterns", cap)
-    weight = 0.5 ** k
-    values = {}
-    total = 0.0
-    for bits in kernels.subset_rows(k):
-        for consider in algo.considered(bits):
-            key = consider.tobytes()
-            if key not in values:
-                values[key] = expected_rule_value(
-                    inst, algo.rule.opened_on(consider), order, cap)
-            total += weight * values[key]
-    return total
+    rows = np.concatenate([algo.considered(bits)
+                           for bits in kernels.subset_rows(k)])
+    sets, inverse = kernels.distinct_rows(rows)
+    values = np.array([expected_rule_value(inst, algo.rule.opened_on(s),
+                                           order, cap) for s in sets])
+    return float(kernels.running_sum(0.0, 0.5 ** k * values[inverse]))
 
 
 def _ratio_summary(alg_vals, pro_vals, level, trials):
@@ -258,7 +253,6 @@ def monte_carlo_ratio(inst, algo, trials, seed=0, order="worst_case",
     per_trial = isinstance(order, str) and order == "random"
     if not per_trial:
         perm = resolve_order(inst, order, algo)
-    thr, atom = algo.rule.thresholds, algo.rule.atom_pass
     alg_vals = np.empty(trials)
     pro_vals = np.empty(trials)
     accepted = np.zeros((trials, inst.n), dtype=bool) if return_trials \
@@ -275,7 +269,7 @@ def monte_carlo_ratio(inst, algo, trials, seed=0, order="worst_case",
             values = sample_value_matrix(inst, rng, batch)
             coins = rng.random((batch, inst.n))
             consider = algo.consider_matrix(rng, batch)
-        a, acc = kernels.mc_online_graphic(inst.matroid, perm, thr, atom,
+        a, acc = kernels.mc_online_graphic(inst.matroid, perm, algo.rule,
                                            values, coins, consider)
         p, best = kernels.mc_max_weight(inst.matroid, values)
         if per_trial:

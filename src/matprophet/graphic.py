@@ -65,27 +65,22 @@ def orient_low_indegree(g, p_scaled):
         raise ValueError(f"expected {g.n} entries, got shape {p.shape}")
     heads = np.full(g.n, -1, dtype=np.int64)
     alive_v = np.ones(g.num_vertices, dtype=bool)
-    alive_e = np.ones(g.n, dtype=bool)
+    # ufunc.at applies its updates in index order: each vertex adds (and
+    # later subtracts) its edges' masses in edge order, u before v
     mass = np.zeros(g.num_vertices)
-    for i in range(g.n):
-        mass[g.eu[i]] += p[i]
-        mass[g.ev[i]] += p[i]
+    np.add.at(mass, np.stack((g.eu, g.ev), axis=1).reshape(-1),
+              np.repeat(p, 2))
     for _ in range(g.num_vertices):
-        pick = -1
-        for v in range(g.num_vertices):
-            if alive_v[v] and mass[v] <= 0.5 + QUALIFY_TOL:
-                pick = v
-                break
-        if pick < 0:
+        ready = np.flatnonzero(alive_v & (mass <= 0.5 + QUALIFY_TOL))
+        if not ready.size:
             raise ValueError(
                 "no vertex with incident mass <= 1/2; the scaled vector is "
                 "too heavy for this graph")
-        for i in range(g.n):
-            if alive_e[i] and (g.eu[i] == pick or g.ev[i] == pick):
-                heads[i] = pick
-                alive_e[i] = False
-                other = g.ev[i] if g.eu[i] == pick else g.eu[i]
-                mass[other] -= p[i]
+        pick = ready[0]
+        hit = (heads < 0) & ((g.eu == pick) | (g.ev == pick))
+        heads[hit] = pick
+        np.subtract.at(mass, np.where(g.eu[hit] == pick, g.ev[hit],
+                                      g.eu[hit]), p[hit])
         alive_v[pick] = False
     return Orientation(g.num_vertices, g.eu.copy(), g.ev.copy(), heads)
 
@@ -101,12 +96,22 @@ def blocking_probability(g, probs, subset, i, cap=None):
     return kernels.connect_probability(g, members, p, int(i))
 
 
+def _check_activation_rows(cross, cap):
+    """Refuse to evaluate the crossing rows `cross` (one row, or a stack)
+    when their distinct sets need more activation rows than the cap: a set
+    of k edges is k greedy rows per pattern of the other k - 1 edges."""
+    sizes = kernels.distinct_rows(np.atleast_2d(cross))[0].sum(axis=1)
+    rows = sum(k << (k - 1) for k in sizes.tolist() if k)
+    check_enum_cap(rows, f"{rows} activation rows", cap)
+
+
 def cut_objective(g, p_scaled, t, orientation, in_a):
     """sum over crossing edges of p*t*(1 - blocking probability inside the
     crossing set), for the cut with side A indicator `in_a`."""
+    _check_activation_rows(orientation.crossing(in_a), None)
     assign = np.where(np.asarray(in_a), 1, 0).astype(np.int8)
     return float(kernels.expected_cut_objective(
-        g, orientation.heads, np.asarray(p_scaled, dtype=float),
+        g, orientation, np.asarray(p_scaled, dtype=float),
         np.asarray(t, dtype=float), assign))
 
 
@@ -120,13 +125,14 @@ def cut_bound_exact(g, p_scaled, t, orientation, cap=None):
 def cut_table(g, p_scaled, t, orientation, cap=None):
     """The objective of every cut, indexed by the mask with bit j set when
     vertex j is on side A (table[mask] is cut_objective of that cut, bit
-    for bit), behind one check of its 2^V cuts."""
+    for bit). Its 2^V cuts, then the activation rows of their distinct
+    crossing sets, are checked against the cap before any is evaluated."""
     nv = g.num_vertices
     check_enum_cap(2 ** nv, f"2^{nv} cuts", cap)
-    return kernels.cut_objectives(
-        g, orientation.heads, np.asarray(p_scaled, dtype=float),
-        np.asarray(t, dtype=float),
-        np.concatenate(list(kernels.subset_rows(nv))))
+    cross = orientation.crossing(np.concatenate(list(kernels.subset_rows(nv))))
+    _check_activation_rows(cross, cap)
+    return kernels.cut_objectives(g, np.asarray(p_scaled, dtype=float),
+                                  np.asarray(t, dtype=float), cross)
 
 
 def conditional_cut(table):
@@ -154,67 +160,52 @@ def derandomize_cut(g, p_scaled, t, orientation, cap=None):
     return in_a
 
 
-@dataclass(frozen=True, eq=False)
-class RandomCutDesign:
-    """Everything the pipeline fixes before any cut is drawn; `rule` holds
-    the quantile thresholds of every edge."""
-
-    reduction: object
-    p_scaled: np.ndarray
-    orientation: Orientation
-    rule: ThresholdRule
-
-    def rule_for_cut(self, in_a):
-        return self.rule.opened_on(self.orientation.crossing(in_a))
-
-
 def require_graphic(inst):
     if not isinstance(inst.matroid, GraphicMatroid):
         raise ValueError("the cut construction needs a graphic matroid")
 
 
-def _design(inst, reduction):
-    require_graphic(inst)
-    g = inst.matroid
-    red = ex_ante_reduce(inst) if reduction is None else reduction
-    p_scaled = scale(red.p, 0.25)
-    p_scaled.flags.writeable = False
-    orientation = orient_low_indegree(g, p_scaled)
-    thr = np.empty(g.n)
-    atom = np.empty(g.n)
-    for i, d in enumerate(inst.dists):
-        thr[i], atom[i] = d.quantile_threshold(p_scaled[i])
-    return RandomCutDesign(red, p_scaled, orientation,
-                           ThresholdRule(thr, atom))
-
-
 class GraphicRandomCut(FixedRuleAlgorithm):
     """Threshold algorithm: quantile thresholds at a quarter of the ex-ante
-    probabilities, opened only on edges crossing a fresh uniform cut. Its
-    coins are the vertices' sides (a set bit puts the vertex on side A).
-    Without a `reduction`, the instance is reduced exactly."""
+    probabilities (`p_scaled`), opened only on the edges that cross a fresh
+    uniform cut under a low-indegree `orientation`. Its coins are the
+    vertices' sides (a set bit puts the vertex on side A); `rule` holds the
+    quantile threshold of every edge. Without a `reduction`, the instance
+    is reduced exactly."""
 
     name = "graphic-random-cut"
 
     def __init__(self, inst, reduction=None):
-        self.design = _design(inst, reduction)
-        super().__init__(inst, self.design.rule, self.design.reduction)
+        require_graphic(inst)
+        red = ex_ante_reduce(inst) if reduction is None else reduction
+        self.p_scaled = scale(red.p, 0.25)
+        self.p_scaled.flags.writeable = False
+        self.orientation = orient_low_indegree(inst.matroid, self.p_scaled)
+        thr = np.empty(inst.n)
+        atom = np.empty(inst.n)
+        for i, d in enumerate(inst.dists):
+            thr[i], atom[i] = d.quantile_threshold(self.p_scaled[i])
+        super().__init__(inst, ThresholdRule(thr, atom), red)
         self.coins = inst.matroid.num_vertices
 
     def considered(self, bits):
-        return self.design.orientation.crossing(bits)
+        return self.orientation.crossing(bits)
+
+    def rule_for_cut(self, in_a):
+        return self.rule.opened_on(self.orientation.crossing(in_a))
 
 
-class GraphicDerandomizedCut(FixedRuleAlgorithm):
+class GraphicDerandomizedCut(GraphicRandomCut):
     """Same construction with the cut chosen by conditional expectations;
-    `cut` is its side-A indicator."""
+    `cut` is its side-A indicator and `rule` stays opened on it, so it
+    flips no coins."""
 
     name = "graphic-derandomized"
+    considered = FixedRuleAlgorithm.considered
 
     def __init__(self, inst, reduction=None, cap=None):
-        self.design = _design(inst, reduction)
-        self.cut = derandomize_cut(inst.matroid, self.design.p_scaled,
-                                   self.design.reduction.t,
-                                   self.design.orientation, cap)
-        super().__init__(inst, self.design.rule_for_cut(self.cut),
-                         self.design.reduction)
+        super().__init__(inst, reduction)
+        self.coins = 0
+        self.cut = derandomize_cut(inst.matroid, self.p_scaled,
+                                   self.reduction.t, self.orientation, cap)
+        self.rule = self.rule_for_cut(self.cut)

@@ -105,19 +105,15 @@ def mc_max_weight(m, values):
     return batched_greedy(m, _weight_order(values), values > 0.0, values)
 
 
-def mc_online_graphic(m, order, thresholds, atom_pass, values, coin_u,
-                      consider):
-    """Online trials of threshold rules, any matroid kind.
+def mc_online_graphic(m, order, rule, values, coin_u, consider):
+    """Online trials of a threshold rule, any matroid kind.
 
-    values and coin_u are (trials, n); order, thresholds, atom_pass and
-    consider are per trial or broadcast. An item passes when its value
-    beats its threshold, or ties it and its coin falls under atom_pass;
-    a non-considered item never passes. Returns (per-trial values,
-    per-trial accepted masks).
+    values, coin_u and consider are (trials, n); order is per trial or
+    broadcast. An item is taken when `rule.passes` on its value and coin
+    and it is considered. Returns (per-trial values, per-trial accepted
+    masks).
     """
-    take = values == thresholds
-    take &= coin_u < atom_pass
-    take |= values > thresholds
+    take = rule.passes(values, coin_u)
     take &= consider
     return batched_greedy(m, order, take, values)
 
@@ -178,15 +174,29 @@ def counting_reduce(block_id, caps, offsets, sup_values, sup_probs):
     """exact_reduce for a capacitated partition, one below_cap row per
     support point: item i with value x > 0 is selected exactly when fewer
     than its block's capacity of the other members precede it, member f
-    when X_f > x, or X_f == x and f < i (greedy's tie order)."""
+    when X_f > x, or X_f == x and f < i (greedy's tie order).
+
+    The rows run in blocks of about 2^20 (row, support point) cells, so
+    memory stays linear in the support size; a row's mass on an item adds
+    the item's preceding support points in support order."""
     n = offsets.size - 1
-    item = np.repeat(np.arange(n), np.diff(offsets))
+    sizes = np.diff(offsets)
+    item = np.repeat(np.arange(n), sizes)
     b = block_id[item]
-    x = sup_values[:, None]
-    ahead = (sup_values > x) | ((sup_values == x) & (item < item[:, None]))
-    ahead &= (b == b[:, None]) & (item != item[:, None])
-    mass = np.where(ahead, sup_probs, 0.0) @ (item[:, None] == np.arange(n))
-    keep = below_cap(mass, caps[b]) * sup_probs * (sup_values > 0.0)
+    keep = np.empty(item.size)
+    step = max(1, (1 << 20) // max(item.size, 1))
+    for start in range(0, item.size, step):
+        rows = slice(start, start + step)
+        x = sup_values[rows, None]
+        ahead = (sup_values > x) | ((sup_values == x)
+                                    & (item < item[rows, None]))
+        ahead &= (b == b[rows, None]) & (item != item[rows, None])
+        mass = np.zeros((len(x), n))
+        for j in range(sizes.max(initial=0)):
+            at = offsets[:-1] + np.minimum(j, sizes - 1)
+            mass += np.where(ahead[:, at] & (j < sizes), sup_probs[at], 0.0)
+        keep[rows] = below_cap(mass, caps[b[rows]])
+    keep = keep * sup_probs * (sup_values > 0.0)
     return float(keep @ sup_values), np.bincount(item, keep, minlength=n)
 
 
@@ -281,22 +291,32 @@ def _crossing_objective(g, p, t, cross):
     return running_sum(0.0, p[cross] * t[cross] * (1.0 - b))
 
 
-def cut_objectives(g, heads, p, t, in_a):
-    """The cut objective of every row of in_a (per vertex: on side A).
+def distinct_rows(rows):
+    """(the distinct rows of a stack of bool rows, ascending; per row, the
+    index of its distinct row), as np.unique(rows, axis=0,
+    return_inverse=True) gives them, but an order of magnitude faster: each
+    row is one byte string, after a leading byte so that none is empty."""
+    keyed = np.ones((len(rows), np.shape(rows)[1] + 1), dtype=bool)
+    keyed[:, 1:] = rows
+    keys, inverse = np.unique(keyed.view(f"V{keyed.shape[1]}")[:, 0],
+                              return_inverse=True)
+    return keys.view(bool).reshape(len(keys), -1)[:, 1:], inverse
 
-    A cut's objective depends only on its crossing set, the edges from side
-    A to side B, so each distinct crossing set is evaluated once and its
-    value shared by every row that produces it.
+
+def cut_objectives(g, p, t, cross):
+    """The cut objective of every row of cross, a stack of crossing masks
+    (`Orientation.crossing` of a stack of cuts).
+
+    A cut's objective depends only on its crossing set, so each distinct
+    row is evaluated once and its value shared by every row equal to it.
     """
-    tails = np.where(heads == g.ev, g.eu, g.ev)
-    cross = in_a[:, tails] & ~in_a[:, heads]
-    sets, inverse = np.unique(cross, axis=0, return_inverse=True)
+    sets, inverse = distinct_rows(cross)
     values = np.array([_crossing_objective(g, p, t, np.flatnonzero(row))
                        for row in sets])
-    return values[inverse.reshape(-1)]
+    return values[inverse]
 
 
-def expected_cut_objective(g, heads, p, t, assign):
+def expected_cut_objective(g, orientation, p, t, assign):
     """Average cut objective over uniform completions of a partial side
     assignment (per vertex: 1 side A, 0 side B, -1 undecided).
 
@@ -306,5 +326,6 @@ def expected_cut_objective(g, heads, p, t, assign):
     free = np.flatnonzero(assign < 0)
     in_a = np.repeat((assign == 1)[None], 1 << free.size, axis=0)
     in_a[:, free] = np.concatenate(list(subset_rows(free.size)))
-    return running_sum(0.0, cut_objectives(g, heads, p, t, in_a)) \
+    return running_sum(0.0, cut_objectives(g, p, t,
+                                           orientation.crossing(in_a))) \
         / (1 << free.size)

@@ -1,9 +1,12 @@
-"""API drift: the names the README and the benchmark's tracer rely on."""
+"""API drift: the names the README and the benchmark's tracer rely on,
+and the packages the library may import."""
 
+import ast
 import importlib
 import inspect
 import re
 import runpy
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,3 +34,19 @@ def test_every_traced_boundary_resolves():
         if arg is not None:
             # the tracer reads this argument to count the boundary's work
             assert arg in inspect.signature(fn).parameters, name
+
+
+def test_imports_stay_within_numpy_and_scipy():
+    # the dependencies are numpy and scipy; anything else installed here
+    # (networkx, numba) must not leak into the package
+    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy", "matprophet"}
+    for path in sorted((ROOT / "src" / "matprophet").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name}: {name}"

@@ -283,6 +283,7 @@ def test_exit_codes(tmp_path):
     assert run_cli("run", "--instance", inst_path, "--algo",
                    "graphic-random-cut", "--mode", "exact",
                    "--out", tmp_path / "o") == 1
+    assert run_cli("orient", "--instance", inst_path) == 1
     # missing file
     assert run_cli("run", "--instance", tmp_path / "nope.json", "--algo",
                    "samuel-cahn", "--out", tmp_path / "o") == 1
@@ -391,6 +392,25 @@ def test_derandomized_cut_is_refused_past_the_cap(tmp_path, capsys,
                    "graphic-derandomized", "--mode", "mc", "--trials", 1000,
                    "--out", tmp_path / "o") == 2
     assert "2^21 cuts exceed the enumeration cap" in capsys.readouterr().err
+
+
+def test_derandomized_cut_counts_its_activation_rows_first(tmp_path, capsys,
+                                                         monkeypatch):
+    # the 2^14 cuts fit under the cap, but evaluating their distinct
+    # crossing sets takes over 10^7 greedy rows (minutes); the count is
+    # made before any of them runs
+    monkeypatch.delenv("MATPROPHET_ENUM_CAP", raising=False)
+    inst_path = tmp_path / "g.json"
+    run_cli("gen", "--family", "graphic", "--vertices", 14, "--edges", 28,
+            "--allow-parallel", "--support-size", 3, "--seed", 1000,
+            "--out", inst_path)
+    capsys.readouterr()
+    assert run_cli("run", "--instance", inst_path, "--algo",
+                   "graphic-derandomized", "--mode", "mc", "--trials", 2000,
+                   "--out", tmp_path / "o") == 2
+    assert "error: 134544124 activation rows exceed the enumeration cap " \
+        "1048576" in capsys.readouterr().err
+    assert not (tmp_path / "o.summary.json").exists()
 
 
 def test_run_rejects_a_level_outside_zero_one(tmp_path, capsys,

@@ -12,8 +12,8 @@ from matprophet import (FixedRuleAlgorithm, GraphicMatroid, Orientation, blockin
                         worst_case_order)
 from matprophet import engine, kernels
 from matprophet.generate import random_graph, random_graphic_instance
-from matprophet.graphic import (GraphicDerandomizedCut, GraphicRandomCut,
-                                conditional_cut, cut_table)
+from matprophet.graphic import (QUALIFY_TOL, GraphicDerandomizedCut,
+                                GraphicRandomCut, conditional_cut, cut_table)
 from matprophet.matroids import scale
 
 
@@ -68,6 +68,76 @@ def test_triangle_consideration_sets_are_forests():
     for bits in itertools.product([False, True], repeat=3):
         s = np.flatnonzero(o.crossing(np.array(bits)))
         assert g.is_independent(s)
+
+
+def loop_orientation(g, p):
+    """Reference: the peeling one vertex and one edge at a time. Returns
+    (heads, in_mass), or None when no vertex qualifies."""
+    heads = np.full(g.n, -1, dtype=np.int64)
+    alive_v = np.ones(g.num_vertices, dtype=bool)
+    alive_e = np.ones(g.n, dtype=bool)
+    mass = np.zeros(g.num_vertices)
+    for i in range(g.n):
+        mass[g.eu[i]] += p[i]
+        mass[g.ev[i]] += p[i]
+    for _ in range(g.num_vertices):
+        pick = -1
+        for v in range(g.num_vertices):
+            if alive_v[v] and mass[v] <= 0.5 + QUALIFY_TOL:
+                pick = v
+                break
+        if pick < 0:
+            return None
+        for i in range(g.n):
+            if alive_e[i] and (g.eu[i] == pick or g.ev[i] == pick):
+                heads[i] = pick
+                alive_e[i] = False
+                other = g.ev[i] if g.eu[i] == pick else g.eu[i]
+                mass[other] -= p[i]
+        alive_v[pick] = False
+    in_mass = np.zeros(g.num_vertices)
+    for i in range(g.n):
+        in_mass[heads[i]] += p[i]
+    return heads, in_mass
+
+
+def test_orientation_matches_the_peeling_loop():
+    # vertex 2 peels first and leaves vertex 1 on the qualifying bound: it
+    # peels next only when its masses were added in edge order, u before v
+    g = GraphicMatroid(3, [(1, 2), (0, 1), (0, 1), (1, 2)])
+    p = np.array([0.21779141104338037, 0.23619631901887733,
+                  0.2638036809821227, 0.2627811860945951])
+    assert orient_low_indegree(g, p).heads.tolist() == [2, 1, 1, 2]
+    assert loop_orientation(g, p)[0].tolist() == [2, 1, 1, 2]
+    # multiples of 1/32 put incident masses exactly at 1/2; the other
+    # cases draw floats, some too heavy to orient, and a quarter of all
+    # cases are scaled so that one vertex's mass lands on the bound
+    rng = np.random.default_rng(43)
+    at_half = refused = 0
+    for case in range(200):
+        nv = int(rng.integers(2, 8))
+        g = random_graph(rng, nv, int(rng.integers(1, 3 * nv)),
+                         allow_parallel=True)
+        if case % 2:
+            p = rng.integers(0, 9, g.n) / 32.0
+        else:
+            p = rng.uniform(0.0, float(rng.choice([0.15, 0.3])), g.n)
+        if case % 4 == 2:
+            v = int(rng.choice(np.concatenate((g.eu, g.ev))))
+            p *= (0.5 + QUALIFY_TOL) / p[(g.eu == v) | (g.ev == v)].sum()
+        incident = np.bincount(np.concatenate((g.eu, g.ev)),
+                               np.tile(p, 2), minlength=nv)
+        at_half += bool(np.any(incident == 0.5))
+        want = loop_orientation(g, p)
+        if want is None:
+            refused += 1
+            with pytest.raises(ValueError, match="no vertex"):
+                orient_low_indegree(g, p)
+            continue
+        o = orient_low_indegree(g, p)
+        assert o.heads.tolist() == want[0].tolist()
+        assert np.array_equal(o.in_mass(p), want[1])
+    assert at_half >= 10 and 0 < refused < 150
 
 
 def test_blocking_probability_parallel():
@@ -211,8 +281,8 @@ def test_rule_for_cut_opens_only_crossing_edges():
     inst = random_graphic_instance(rng, max_vertices=5, max_edges=7)
     algo = GraphicRandomCut(inst)
     in_a = rng.random(inst.matroid.num_vertices) < 0.5
-    rule = algo.design.rule_for_cut(in_a)
-    considered = np.flatnonzero(algo.design.orientation.crossing(in_a))
+    rule = algo.rule_for_cut(in_a)
+    considered = np.flatnonzero(algo.orientation.crossing(in_a))
     open_mask = np.isfinite(rule.thresholds)
     assert sorted(np.flatnonzero(open_mask)) == sorted(considered)
     # every open item passes with probability exactly p_i / 4
@@ -220,7 +290,7 @@ def test_rule_for_cut_opens_only_crossing_edges():
         d = inst.dists[i]
         r = (d.prob_above(rule.thresholds[i])
              + rule.atom_pass[i] * d.prob_at(rule.thresholds[i]))
-        assert r == pytest.approx(algo.design.p_scaled[i], abs=1e-12)
+        assert r == pytest.approx(algo.p_scaled[i], abs=1e-12)
 
 
 def rule_bytes(rule):
@@ -246,9 +316,9 @@ def test_exact_value_averages_every_cut_rule(monkeypatch):
         crossing_sets = set()
         for bits in itertools.product((False, True), repeat=nv):
             in_a = np.array(bits[::-1])  # vertex 0 is the low bit
-            rule = algo.design.rule_for_cut(in_a)
+            rule = algo.rule_for_cut(in_a)
             want += 0.5 ** nv * expected_rule_value(inst, rule, order)
-            crossing_sets.add(algo.design.orientation.crossing(
+            crossing_sets.add(algo.orientation.crossing(
                 in_a).tobytes())
         calls.clear()
         assert expected_value_exact(inst, algo) == want
@@ -270,7 +340,7 @@ def test_build_draws_the_cut_sample_cut_draws():
             rule = algo.build(draw)
             in_a = twin.random(inst.matroid.num_vertices) < 0.5
             assert rule_bytes(rule) == rule_bytes(
-                algo.design.rule_for_cut(in_a))
+                algo.rule_for_cut(in_a))
         assert draw.bit_generator.state == twin.bit_generator.state
 
 

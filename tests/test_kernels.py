@@ -2,6 +2,7 @@
 plain-python oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from matprophet import (GraphicMatroid, PartitionMatroid, ProphetInstance,
                         ThresholdRule, UniformMatroid, execute_online,
                         kernels)
-from matprophet.generate import (random_distribution,
+from matprophet.generate import (random_dists, random_distribution,
                                  random_partition_instance,
                                  random_uniform_instance)
 from matprophet.reduction import _support_arrays
@@ -136,8 +137,8 @@ def test_mc_online_matches_execute_online():
                            for _ in range(trials)])
         coins = rng.random((trials, m.n))
         consider = rng.random((trials, m.n)) < 0.8
-        got, acc = kernels.mc_online_graphic(m, order, thr, atom, values,
-                                             coins, consider)
+        got, acc = kernels.mc_online_graphic(
+            m, order, ThresholdRule(thr, atom), values, coins, consider)
         for tr in range(trials):
             masked_thr = np.where(consider[tr], thr, np.inf)
             accepted, value = execute_online(
@@ -294,3 +295,39 @@ def test_counting_matches_enumeration():
         assert kernels.counting_rule_value(*blocks, cons, r, tau) == \
             pytest.approx(kernels.rule_value_exact(m, cons, r, tau),
                           rel=1e-12)
+
+
+def test_distinct_rows_match_numpy_unique():
+    rng = rng0(12)
+    shapes = [(16, 0), (1, 0), (1, 5), (7, 1)] + [
+        (int(rng.integers(1, 300)), int(rng.integers(1, 40)))
+        for _ in range(100)]
+    for shape in shapes:
+        rows = rng.random(shape) < rng.random()
+        want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+        got, inverse = kernels.distinct_rows(rows)
+        assert got.dtype == bool and np.array_equal(got, want)
+        assert inverse.tolist() == want_inverse.reshape(-1).tolist()
+
+
+def test_counting_reduce_memory_stays_linear():
+    # 2,000 support points: one float matrix over all pairs of them is
+    # 32 MB by itself, so the rows run in blocks
+    rng = rng0(9)
+    inst = ProphetInstance(UniformMatroid(1000, 10),
+                           random_dists(rng, 1000, support_size=2))
+    blocks = kernels.partition_args(inst.matroid)
+    offsets, sup_values, sup_probs = _support_arrays(inst)
+    tracemalloc.start()
+    try:
+        opt, p = kernels.counting_reduce(*blocks, offsets, sup_values,
+                                         sup_probs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+    # greedy keeps min(k, number of positive values) items
+    positive = np.array([d.prob_above(0.0) for d in inst.dists])
+    kept = sum(1.0 - kernels.below_cap(positive, c) for c in range(1, 11))
+    assert p.sum() == pytest.approx(kept, rel=1e-12)
+    assert 0.0 < opt <= float(np.sort(sup_values)[-10:].sum())

@@ -9,7 +9,7 @@ import pytest
 
 from matprophet import (GraphicMatroid, GraphicRandomCut, ProphetInstance,
                         ThresholdRule, UniformMatroid, bernoulli_to_dict,
-                        blocking_probability, cut_bound_exact,
+                        blocking_probability, cut_bound_exact, cut_objective,
                         derandomize_cut, ex_ante_reduce, expected_rule_value,
                         expected_value_exact, orient_low_indegree,
                         parse_instance, prophet_value_exact, worst_case_order)
@@ -275,8 +275,23 @@ def test_every_exact_enumeration_checks_one_cap(monkeypatch):
         (lambda: expected_value_exact(inst, algo), "2\\^3 coin patterns"),
         (lambda: derandomize_cut(g, np.full(3, 0.125), np.ones(3),
                                  orientation), "2\\^3 cuts"),
+        # vertex 2 alone on side A: edges 1 and 2 cross, 2 * 2^1 rows
+        (lambda: cut_objective(g, np.full(3, 0.125), np.ones(3), orientation,
+                               np.array([False, False, True])),
+         "4 activation rows"),
     ]
     for call, what in sites:
         with pytest.raises(EnumerationCapError,
                            match=f"^{what} exceed the enumeration cap 2$"):
+            call()
+    # the 2^3 cuts fit under 8; their distinct crossing sets {0}, {1},
+    # {0, 2} and {1, 2} need 1 + 1 + 4 + 4 activation rows
+    monkeypatch.setenv("MATPROPHET_ENUM_CAP", "8")
+    for call in (lambda: cut_bound_exact(g, np.full(3, 0.125), np.ones(3),
+                                         orientation),
+                 lambda: derandomize_cut(g, np.full(3, 0.125), np.ones(3),
+                                         orientation)):
+        with pytest.raises(EnumerationCapError,
+                           match="^10 activation rows exceed the enumeration "
+                                 "cap 8$"):
             call()
