@@ -12,9 +12,8 @@ from .baselines import (UniformThreshold, kuniform_opt_fraction_threshold,
                         partition_thresholds, samuel_cahn_threshold)
 from .distributions import DiscreteDistribution
 from .engine import (FixedRuleAlgorithm, RatioSummary, ThresholdRule,
-                     adversarial_order_search, as_permutation, execute_online,
-                     expected_rule_value, expected_value_exact,
-                     monte_carlo_ratio, safe_ratio)
+                     as_permutation, execute_online, expected_rule_value,
+                     expected_value_exact, monte_carlo_ratio, safe_ratio)
 from .errors import EnumerationCapError, VerificationError
 from .graphic import (GraphicDerandomizedCut, GraphicRandomCut, Orientation,
                       blocking_probability, cut_bound_exact, cut_objective,

@@ -24,10 +24,9 @@ from .graphic import (GraphicDerandomizedCut, GraphicRandomCut,
                       require_graphic)
 from .io import load_instance, save_instance
 from .kernels import running_sum
-from .matroids import (GraphicMatroid, PartitionMatroid, UniformMatroid,
-                       POLYTOPE_CAP)
-from .reduction import (ProphetInstance, ex_ante_reduce, prophet_value_exact,
-                        worst_case_order)
+from .matroids import GraphicMatroid, PartitionMatroid, UniformMatroid
+from .reduction import (ProphetInstance, capped_slack, ex_ante_reduce,
+                        prophet_value_exact, worst_case_order)
 
 GRAPHIC_ALGOS = ("graphic-random-cut", "graphic-derandomized")
 BASELINE_ALGOS = tuple(FAMILIES)
@@ -76,6 +75,15 @@ def _level(text):
     if not 0.0 < x < 1.0:
         raise argparse.ArgumentTypeError(
             f"level must lie in (0, 1), got {text}")
+    return x
+
+
+def _cap(text):
+    """--cap: a nonnegative enumeration cap."""
+    x = int(text)
+    if x < 0:
+        raise argparse.ArgumentTypeError(
+            f"cap must be nonnegative, got {text}")
     return x
 
 
@@ -263,7 +271,6 @@ def _emit(doc, out):
 def _verify_instance(loaded, cap):
     """Yield (check, status, slack, note) rows for one instance."""
     inst = loaded.instance
-    n = inst.n
     tol = 1e-9
     mass_tol = 1e-12
 
@@ -274,8 +281,7 @@ def _verify_instance(loaded, cap):
     opt = red.prophet_value
 
     if loaded.is_bernoulli:
-        slack = inst.matroid.polytope_slack(loaded.declared_p) \
-            if n <= POLYTOPE_CAP else None
+        slack = capped_slack(inst.matroid, loaded.declared_p)
     else:
         slack = red.feasibility_slack
     if slack is not None:
@@ -384,7 +390,7 @@ def build_parser():
     reduction.add_argument("--mode", choices=("exact", "mc"), default="exact")
     reduction.add_argument("--trials", type=int, default=100_000)
     reduction.add_argument("--seed", type=int, default=0)
-    reduction.add_argument("--cap", type=int, default=None)
+    reduction.add_argument("--cap", type=_cap, default=None)
 
     p = sub.add_parser("run", parents=[reduction],
                        help="run one algorithm on one instance")
@@ -410,7 +416,7 @@ def build_parser():
     p = sub.add_parser("verify", help="check the guarantees on a suite")
     p.add_argument("--suite", required=True,
                    help="instance file or directory of *.json instances")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_cap, default=None)
     p.set_defaults(func=cmd_verify)
     return parser
 
@@ -419,6 +425,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # every --out (a file, or run's prefix) may name new directories
+        if getattr(args, "out", "-") != "-":
+            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         return args.func(args)
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,6 @@ by enumerating pass patterns: acceptance depends only on which items pass,
 so each accepted item contributes its conditional value given a pass.
 """
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -17,8 +16,8 @@ import numpy as np
 from scipy.stats import norm
 
 from . import kernels
-from .errors import EnumerationCapError
-from .reduction import (check_enum_cap, ex_ante_reduce, sample_value_matrix,
+from .errors import check_enum_cap
+from .reduction import (ex_ante_reduce, sample_value_matrix,
                         values_from_uniform, worst_case_order)
 
 LOW_SAMPLE_FLOOR = 1000
@@ -286,19 +285,3 @@ def monte_carlo_ratio(inst, algo, trials, seed=0, order="worst_case",
     if return_trials:
         return summary, alg_vals, pro_vals, accepted
     return summary
-
-
-def adversarial_order_search(inst, algo, cap=None):
-    """The arrival order minimizing the exact expected value, found by
-    trying every permutation (guarded to small n). Returns the order as a
-    permutation row and its value."""
-    n = inst.n
-    if n > 8:
-        raise EnumerationCapError(
-            f"exhaustive order search over {n}! permutations refused")
-    best_perm, best_val = None, math.inf
-    for perm in itertools.permutations(range(n)):
-        val = expected_value_exact(inst, algo, perm, cap)
-        if val < best_val - 1e-15:
-            best_perm, best_val = perm, val
-    return as_permutation(best_perm, n), best_val

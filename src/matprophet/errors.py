@@ -1,4 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types and the one enumeration cap."""
+
+import os
+
+DEFAULT_ENUM_CAP = 1 << 20
 
 
 class EnumerationCapError(RuntimeError):
@@ -8,3 +12,19 @@ class EnumerationCapError(RuntimeError):
 
 class VerificationError(AssertionError):
     """A guarantee check that should hold numerically did not."""
+
+
+def check_enum_cap(count, what, cap=None):
+    """Refuse an exact computation of `count` states (`what` names them)
+    above the enumeration cap: the explicit cap, else MATPROPHET_ENUM_CAP,
+    else the default."""
+    if cap is None:
+        cap = os.environ.get("MATPROPHET_ENUM_CAP", "").strip() \
+            or str(DEFAULT_ENUM_CAP)
+        if not cap.isdecimal():
+            raise ValueError("MATPROPHET_ENUM_CAP must be a nonnegative "
+                             f"integer, got {cap!r}")
+    limit = int(cap)
+    if count > limit:
+        raise EnumerationCapError(
+            f"{what} exceed the enumeration cap {limit}")

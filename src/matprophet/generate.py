@@ -38,6 +38,8 @@ def random_distribution(rng, support_size=3, value_max=10.0, zero_atom=0.5):
 
 
 def random_graph(rng, num_vertices, num_edges, allow_parallel=False):
+    if num_edges < 0:
+        raise ValueError(f"edge count must be nonnegative, got {num_edges}")
     if num_vertices < 2 and num_edges > 0:
         raise ValueError("need at least two vertices to place an edge")
     simple_max = num_vertices * (num_vertices - 1) // 2

@@ -16,8 +16,9 @@ import numpy as np
 
 from . import kernels
 from .engine import FixedRuleAlgorithm, ThresholdRule
+from .errors import check_enum_cap
 from .matroids import GraphicMatroid, scale
-from .reduction import check_enum_cap, ex_ante_reduce
+from .reduction import ex_ante_reduce
 
 QUALIFY_TOL = 1e-12
 
@@ -96,19 +97,9 @@ def blocking_probability(g, probs, subset, i, cap=None):
     return kernels.connect_probability(g, members, p, int(i))
 
 
-def _check_activation_rows(cross, cap):
-    """Refuse to evaluate the crossing rows `cross` (one row, or a stack)
-    when their distinct sets need more activation rows than the cap: a set
-    of k edges is k greedy rows per pattern of the other k - 1 edges."""
-    sizes = kernels.distinct_rows(np.atleast_2d(cross))[0].sum(axis=1)
-    rows = sum(k << (k - 1) for k in sizes.tolist() if k)
-    check_enum_cap(rows, f"{rows} activation rows", cap)
-
-
 def cut_objective(g, p_scaled, t, orientation, in_a):
     """sum over crossing edges of p*t*(1 - blocking probability inside the
     crossing set), for the cut with side A indicator `in_a`."""
-    _check_activation_rows(orientation.crossing(in_a), None)
     assign = np.where(np.asarray(in_a), 1, 0).astype(np.int8)
     return float(kernels.expected_cut_objective(
         g, orientation, np.asarray(p_scaled, dtype=float),
@@ -125,14 +116,14 @@ def cut_bound_exact(g, p_scaled, t, orientation, cap=None):
 def cut_table(g, p_scaled, t, orientation, cap=None):
     """The objective of every cut, indexed by the mask with bit j set when
     vertex j is on side A (table[mask] is cut_objective of that cut, bit
-    for bit). Its 2^V cuts, then the activation rows of their distinct
-    crossing sets, are checked against the cap before any is evaluated."""
+    for bit). Its 2^V cuts are checked against the cap before any is
+    built; kernels.cut_objectives checks the activation rows of their
+    distinct crossing sets before it evaluates any."""
     nv = g.num_vertices
     check_enum_cap(2 ** nv, f"2^{nv} cuts", cap)
     cross = orientation.crossing(np.concatenate(list(kernels.subset_rows(nv))))
-    _check_activation_rows(cross, cap)
     return kernels.cut_objectives(g, np.asarray(p_scaled, dtype=float),
-                                  np.asarray(t, dtype=float), cross)
+                                  np.asarray(t, dtype=float), cross, cap)
 
 
 def conditional_cut(table):

@@ -18,6 +18,8 @@ equals the one a plain loop over the rows gives, bit for bit.
 
 import numpy as np
 
+from .errors import check_enum_cap
+
 KIND_GRAPHIC = 0
 KIND_PARTITION = 1
 # rows per Monte Carlo block; the blocks fix how draws interleave, so this
@@ -303,14 +305,18 @@ def distinct_rows(rows):
     return keys.view(bool).reshape(len(keys), -1)[:, 1:], inverse
 
 
-def cut_objectives(g, p, t, cross):
+def cut_objectives(g, p, t, cross, cap=None):
     """The cut objective of every row of cross, a stack of crossing masks
     (`Orientation.crossing` of a stack of cuts).
 
     A cut's objective depends only on its crossing set, so each distinct
-    row is evaluated once and its value shared by every row equal to it.
+    row is evaluated once and its value shared by every row equal to it;
+    first their activation rows, k per pattern of the other k - 1 edges of
+    a k-edge set, are checked against the cap.
     """
     sets, inverse = distinct_rows(cross)
+    rows = sum(k << (k - 1) for k in sets.sum(axis=1).tolist() if k)
+    check_enum_cap(rows, f"{rows} activation rows", cap)
     values = np.array([_crossing_objective(g, p, t, np.flatnonzero(row))
                        for row in sets])
     return values[inverse]

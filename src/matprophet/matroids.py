@@ -14,9 +14,7 @@ import operator
 import numpy as np
 
 from . import kernels
-from .errors import EnumerationCapError
-
-POLYTOPE_CAP = 20
+from .errors import check_enum_cap
 
 
 def scale(p, factor):
@@ -88,19 +86,17 @@ class Matroid:
 
         Each subset is one greedy row in index order, so its rank is the
         number of items the row accepts; p(S) adds left to right in index
-        order. Uniform and partition matroids sort (_partition_slack)."""
+        order, once the 2^n rows pass the enumeration cap. Uniform and
+        partition matroids sort (_partition_slack), at any size."""
         pv = np.asarray(p, dtype=float)
         if pv.shape != (self.n,):
             raise ValueError(f"expected {self.n} entries, got shape {pv.shape}")
         if not np.all(np.isfinite(pv)) or np.any(pv < 0):
             raise ValueError("vector must be finite and nonnegative")
-        if self.n > POLYTOPE_CAP:
-            raise EnumerationCapError(
-                f"polytope check enumerates subsets; {self.n} elements "
-                f"exceeds the cap of {POLYTOPE_CAP}")
         blocks = kernels.partition_args(self)
         if blocks is not None:
             return _partition_slack(pv, *blocks)
+        check_enum_cap(2 ** self.n, f"2^{self.n} polytope subsets")
         best = np.inf
         for bits in kernels.subset_rows(self.n):
             _, accepted = kernels.batched_greedy(self, np.arange(self.n),

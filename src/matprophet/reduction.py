@@ -8,7 +8,6 @@ upper-bounds the offline expectation.
 """
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -16,23 +15,17 @@ import numpy as np
 
 from . import kernels
 from .distributions import DiscreteDistribution
-from .errors import EnumerationCapError
-from .matroids import Matroid, POLYTOPE_CAP
-
-DEFAULT_ENUM_CAP = 1 << 20
+from .errors import EnumerationCapError, check_enum_cap
+from .matroids import Matroid
 
 
-def check_enum_cap(count, what, cap=None):
-    """Refuse an exact computation of `count` states (`what` names them)
-    above the enumeration cap: the explicit cap, else MATPROPHET_ENUM_CAP,
-    else the default."""
-    if cap is None:
-        cap = os.environ.get("MATPROPHET_ENUM_CAP", "").strip() \
-            or DEFAULT_ENUM_CAP
-    limit = int(cap)
-    if count > limit:
-        raise EnumerationCapError(
-            f"{what} exceed the enumeration cap {limit}")
+def capped_slack(matroid, p):
+    """matroid.polytope_slack(p), or None when its subset sweep is past the
+    enumeration cap."""
+    try:
+        return matroid.polytope_slack(p)
+    except EnumerationCapError:
+        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,10 +71,8 @@ class ReductionResult:
 
     @cached_property
     def feasibility_slack(self):
-        """Matroid-polytope slack of p; None above POLYTOPE_CAP items."""
-        if self.matroid.n > POLYTOPE_CAP:
-            return None
-        return self.matroid.polytope_slack(self.p)
+        """Matroid-polytope slack of p; None past the enumeration cap."""
+        return capped_slack(self.matroid, self.p)
 
     def bound(self):
         """The priced sum over items."""

@@ -50,3 +50,19 @@ def test_imports_stay_within_numpy_and_scipy():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name}: {name}"
+
+
+def test_every_module_import_is_used():
+    # no linter is a dependency: a name a module imports but never reads
+    # is found here (the package's __init__ imports to re-export)
+    for path in sorted((ROOT / "src" / "matprophet").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    assert bound in read, f"{path.name}: {bound} unused"

@@ -303,6 +303,59 @@ def test_exit_codes(tmp_path):
     assert err.value.code == 1
 
 
+def test_cap_values_from_outside_are_checked(tmp_path, capsys,
+                                             monkeypatch):
+    inst_path = tmp_path / "g.json"
+    run_cli("gen", "--family", "graphic", "--vertices", 3, "--edges", 3,
+            "--seed", 1, "--out", inst_path)
+    capsys.readouterr()
+    for bad in ("abc", "-1", "1.5"):
+        monkeypatch.setenv("MATPROPHET_ENUM_CAP", bad)
+        assert run_cli("reduce", "--instance", inst_path) == 1
+        assert capsys.readouterr().err == (
+            "error: MATPROPHET_ENUM_CAP must be a nonnegative integer, "
+            f"got '{bad}'\n")
+    monkeypatch.delenv("MATPROPHET_ENUM_CAP")
+
+    def never(*args, **kwargs):
+        raise AssertionError("the instance was loaded before --cap was "
+                             "checked")
+
+    monkeypatch.setattr("matprophet.cli.load_instance", never)
+    for argv in (("run", "--algo", "graphic-random-cut", "--out",
+                  tmp_path / "o", "--instance", inst_path),
+                 ("reduce", "--instance", inst_path),
+                 ("orient", "--instance", inst_path),
+                 ("verify", "--suite", inst_path)):
+        # a usage error: the parser exits 1, like an unknown flag
+        with pytest.raises(SystemExit) as err:
+            run_cli(*argv, "--cap", -1)
+        assert err.value.code == 1
+        assert "cap must be nonnegative, got -1" in capsys.readouterr().err
+
+
+def test_out_directories_are_created(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("gen", "--family", "graphic", "--vertices", 3,
+                   "--edges", 3, "--seed", 1, "--out", "in/g.json") == 0
+    assert run_cli("run", "--instance", "in/g.json", "--algo",
+                   "graphic-random-cut", "--out", "sub/dir/x") == 0
+    assert (tmp_path / "sub" / "dir" / "x.csv").is_file()
+    assert (tmp_path / "sub" / "dir" / "x.summary.json").is_file()
+    for cmd in ("reduce", "orient"):
+        out = tmp_path / cmd / "x.json"
+        assert run_cli(cmd, "--instance", "in/g.json", "--out", out) == 0
+        assert json.loads(out.read_text())["p"]
+
+
+def test_gen_refuses_a_negative_edge_count(tmp_path, capsys):
+    out = tmp_path / "g.json"
+    assert run_cli("gen", "--family", "graphic", "--edges", -2,
+                   "--out", out) == 1
+    assert "edge count must be nonnegative, got -2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_refuses_a_value_max_without_room(tmp_path, capsys,
                                              monkeypatch):
     # the first two once redrew forever, the others ended in a traceback
@@ -506,8 +559,21 @@ def test_uniform_exact_mode_passes_the_cap(tmp_path, monkeypatch):
                    "--mode", "exact", "--out", tmp_path / "exact") == 0
     summary = json.loads((tmp_path / "exact.summary.json").read_text())
     assert summary["ratio"] >= 0.5 - 1e-9
-    assert summary["feasibility_slack"] is None  # past POLYTOPE_CAP
+    # a uniform slack sorts: no size is past the cap
+    assert summary["feasibility_slack"] >= -1e-9
     assert run_cli("verify", "--suite", inst_path) == 0
+
+
+def test_verify_audits_a_declared_vector_past_the_subset_cap(tmp_path,
+                                                             capsys):
+    # p(S) = 15 on the whole ground set against rank 2: a slack of -13. A
+    # 2^30 subset sweep would be refused; sorting finds it
+    path = tmp_path / "b.json"
+    save_instance(path, bernoulli_to_dict(UniformMatroid(30, 2),
+                                          [0.5] * 30, [1.0] * 30))
+    assert run_cli("verify", "--suite", path) == 3
+    out = capsys.readouterr().out
+    assert "polytope-membership          FAIL -1.300e+01" in out
 
 
 def test_baseline_reduction_follows_run_settings(tmp_path, monkeypatch):

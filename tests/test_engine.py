@@ -1,7 +1,4 @@
-"""Online execution, exact expectations, Monte Carlo estimation, and the
-adversarial order search."""
-
-import itertools
+"""Online execution, exact expectations and Monte Carlo estimation."""
 
 import numpy as np
 import pytest
@@ -9,12 +6,10 @@ import pytest
 from matprophet import kernels
 from matprophet import (FixedRuleAlgorithm, GraphicMatroid, GraphicRandomCut,
                         ProphetInstance, ThresholdRule, UniformMatroid,
-                        adversarial_order_search, as_permutation,
-                        ex_ante_reduce, execute_online, expected_rule_value,
-                        expected_value_exact, monte_carlo_ratio,
-                        prophet_value_exact, safe_ratio)
+                        as_permutation, ex_ante_reduce, execute_online,
+                        expected_rule_value, expected_value_exact,
+                        monte_carlo_ratio, prophet_value_exact, safe_ratio)
 from matprophet.distributions import DiscreteDistribution
-from matprophet.errors import EnumerationCapError
 from matprophet.generate import random_graphic_instance
 from matprophet.reduction import sample_value_matrix, values_from_uniform
 
@@ -64,8 +59,6 @@ def test_arrival_order_validation():
         lambda order: expected_value_exact(inst, algo, order),
         lambda order: monte_carlo_ratio(inst, algo, 10, order=order),
     ]
-    # (adversarial_order_search takes no order: each permutation it tries
-    # goes through expected_value_exact, and it returns its best one checked)
     # A short order used to drop item 2: 1.0 where the full order gives 11/8.
     for bad in ([0, 1], [0, 1, 2, 3], [0, 0, 1], [0, 1, 2.5], [[0, 1, 2]]):
         for call in entry_points:
@@ -209,24 +202,6 @@ def test_accepted_sets_are_independent():
         assert inst.matroid.is_independent(accepted)
         passing = rule.passes(values, coins)
         assert all(passing[e] for e in accepted)
-
-
-def test_adversarial_search_exhaustive():
-    inst = k3_coins()
-    algo = FixedRuleAlgorithm(inst, ThresholdRule(np.ones(3), np.ones(3)))
-    perm, val = adversarial_order_search(inst, algo)
-    want = min(expected_value_exact(inst, algo, p)
-               for p in itertools.permutations(range(3)))
-    assert val == pytest.approx(want, abs=1e-12)
-    assert perm.dtype == np.int64
-    assert expected_value_exact(inst, algo, perm) == val
-
-
-def test_adversarial_search_size_guard():
-    inst = ProphetInstance(UniformMatroid(9, 2), [coin] * 9)
-    algo = FixedRuleAlgorithm(inst, ThresholdRule(np.ones(9), np.ones(9)))
-    with pytest.raises(EnumerationCapError):
-        adversarial_order_search(inst, algo)
 
 
 def test_safe_ratio_degenerate():

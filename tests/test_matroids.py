@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from matprophet import (EnumerationCapError, GraphicMatroid, PartitionMatroid,
-                        UniformMatroid)
+                        UniformMatroid, kernels)
 from matprophet.generate import (random_graph, random_partition_instance,
                                  random_polytope_point)
-from matprophet.matroids import POLYTOPE_CAP
 
 
 def k3():
@@ -248,11 +247,32 @@ def test_random_polytope_point_matches_loop():
         assert m.in_polytope(got)
 
 
-def test_polytope_cap():
-    n = POLYTOPE_CAP + 1
-    m = UniformMatroid(n, 2)
-    with pytest.raises(EnumerationCapError):
-        m.polytope_slack(np.full(n, 0.01))
+def test_polytope_cap(monkeypatch):
+    # 2^21 subset rows are past the default cap: refused before any row
+    # is built
+    monkeypatch.delenv("MATPROPHET_ENUM_CAP", raising=False)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a subset row was built past the cap")
+
+    monkeypatch.setattr(kernels, "subset_rows", never)
+    m = random_graph(np.random.default_rng(0), 8, 21)
+    with pytest.raises(EnumerationCapError,
+                       match="^2\\^21 polytope subsets exceed the "
+                             "enumeration cap 1048576$"):
+        m.polytope_slack(np.full(21, 0.01))
+
+
+def test_uniform_and_partition_slacks_sort_past_the_cap(monkeypatch):
+    # sorting needs no subset sweep, so no size is refused
+    monkeypatch.setenv("MATPROPHET_ENUM_CAP", "1")
+    rng = np.random.default_rng(31)
+    for m in (UniformMatroid(40, 3),
+              PartitionMatroid([range(0, 12), range(12, 20), range(20, 30)],
+                               [2, 1, 4])):
+        for j in range(6):
+            p = random_polytope_point(m, rng) if j % 2 else rng.random(m.n)
+            assert m.polytope_slack(p) == sorted_prefix_slack(m, p)
 
 
 def test_polytope_rejects_negative_and_big():

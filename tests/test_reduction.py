@@ -16,10 +16,11 @@ from matprophet import (GraphicMatroid, GraphicRandomCut, ProphetInstance,
 from matprophet import kernels
 from matprophet.distributions import DiscreteDistribution
 from matprophet.errors import EnumerationCapError
-from matprophet.generate import (random_graphic_instance,
+from matprophet.generate import (random_graph, random_graphic_instance,
                                  random_partition_instance,
                                  random_uniform_instance)
-from matprophet.matroids import Matroid, POLYTOPE_CAP
+from matprophet.graphic import cut_table
+from matprophet.matroids import Matroid
 from matprophet.reduction import sample_value_matrix, values_from_uniform
 
 coin = DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
@@ -249,12 +250,18 @@ def test_feasibility_slack_is_computed_when_read(monkeypatch):
     assert calls == [1]
     assert red.feasibility_slack == first == slack(red.matroid, red.p)
     assert calls == [1]
-    # past the cap the slack stays None, and nothing is enumerated
-    n = POLYTOPE_CAP + 1
-    big = ProphetInstance(UniformMatroid(n, 2),
-                          [DiscreteDistribution.constant(1.0)] * n)
+    # past the cap (2^21 subsets) the slack stays None, and nothing is
+    # enumerated
+    monkeypatch.delenv("MATPROPHET_ENUM_CAP", raising=False)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a subset row was built past the cap")
+
+    monkeypatch.setattr(kernels, "subset_rows", never)
+    big = ProphetInstance(random_graph(np.random.default_rng(0), 8, 21),
+                          [DiscreteDistribution.constant(1.0)] * 21)
     assert ex_ante_reduce(big).feasibility_slack is None
-    assert calls == [1]
+    assert calls == [1, 1]
 
 
 def test_every_exact_enumeration_checks_one_cap(monkeypatch):
@@ -279,6 +286,7 @@ def test_every_exact_enumeration_checks_one_cap(monkeypatch):
         (lambda: cut_objective(g, np.full(3, 0.125), np.ones(3), orientation,
                                np.array([False, False, True])),
          "4 activation rows"),
+        (lambda: g.polytope_slack(np.full(3, 0.5)), "2\\^3 polytope subsets"),
     ]
     for call, what in sites:
         with pytest.raises(EnumerationCapError,
@@ -295,3 +303,21 @@ def test_every_exact_enumeration_checks_one_cap(monkeypatch):
                            match="^10 activation rows exceed the enumeration "
                                  "cap 8$"):
             call()
+
+
+def test_cut_table_finds_its_distinct_sets_once(monkeypatch):
+    g = GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+    p_scaled = np.full(g.n, 0.1)
+    orientation = orient_low_indegree(g, p_scaled)
+    want = cut_table(g, p_scaled, np.ones(g.n), orientation)
+    calls = []
+    distinct_rows = kernels.distinct_rows
+
+    def counted(rows):
+        calls.append(1)
+        return distinct_rows(rows)
+
+    monkeypatch.setattr(kernels, "distinct_rows", counted)
+    got = cut_table(g, p_scaled, np.ones(g.n), orientation)
+    assert calls == [1]
+    assert np.array_equal(got, want)
