@@ -39,8 +39,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def make_algorithm(inst, name, mode="exact", trials=100_000, seed=0,
-                   cap=None):
+def make_algorithm(inst, name, mode="exact", trials=100_000, seed=0):
     """Reduce the instance with the run's settings and build the named
     algorithm on that reduction."""
     # refuse the wrong family before the reduction enumerates anything
@@ -48,11 +47,11 @@ def make_algorithm(inst, name, mode="exact", trials=100_000, seed=0,
         require_graphic(inst)
     else:
         require_family(inst, name)
-    red = ex_ante_reduce(inst, mode=mode, trials=trials, seed=seed, cap=cap)
+    red = ex_ante_reduce(inst, mode=mode, trials=trials, seed=seed)
     if name == "graphic-random-cut":
         return GraphicRandomCut(inst, red)
     if name == "graphic-derandomized":
-        return GraphicDerandomizedCut(inst, red, cap)
+        return GraphicDerandomizedCut(inst, red)
     return make_baseline(inst, name, reduction=red)
 
 
@@ -75,15 +74,6 @@ def _level(text):
     if not 0.0 < x < 1.0:
         raise argparse.ArgumentTypeError(
             f"level must lie in (0, 1), got {text}")
-    return x
-
-
-def _cap(text):
-    """--cap: a nonnegative enumeration cap."""
-    x = int(text)
-    if x < 0:
-        raise argparse.ArgumentTypeError(
-            f"cap must be nonnegative, got {text}")
     return x
 
 
@@ -151,7 +141,7 @@ def cmd_run(args):
     loaded = load_instance(args.instance)
     inst = loaded.instance
     algo = make_algorithm(inst, args.algo, mode=args.mode,
-                          trials=args.trials, seed=args.seed, cap=args.cap)
+                          trials=args.trials, seed=args.seed)
     out_prefix = Path(args.out)
     summary = {
         "instance": str(args.instance),
@@ -162,11 +152,11 @@ def cmd_run(args):
     }
 
     if args.mode == "exact":
-        alg_value = expected_value_exact(inst, algo, cap=args.cap)
+        alg_value = expected_value_exact(inst, algo)
         # a second enumeration of the same outcomes (algo.reduction holds
         # this value): perfbench's host sampler cannot yet time an exact-run
         # operation shorter than its 50 ms period (ROADMAP item 1)
-        opt = prophet_value_exact(inst, cap=args.cap)
+        opt = prophet_value_exact(inst)
         ratio, degenerate = safe_ratio(alg_value, opt)
         summary.update(alg_value=alg_value, prophet_value=opt, ratio=ratio,
                        degenerate=degenerate, trials=0, ci_half_width=0.0)
@@ -224,7 +214,7 @@ def cmd_reduce(args):
     loaded = load_instance(args.instance)
     inst = loaded.instance
     red = ex_ante_reduce(inst, mode=args.mode, trials=args.trials,
-                         seed=args.seed, cap=args.cap)
+                         seed=args.seed)
     doc = {
         "mode": red.mode,
         "trials": red.trials,
@@ -244,7 +234,7 @@ def cmd_reduce(args):
 def cmd_orient(args):
     algo = make_algorithm(load_instance(args.instance).instance,
                           "graphic-random-cut", mode=args.mode,
-                          trials=args.trials, seed=args.seed, cap=args.cap)
+                          trials=args.trials, seed=args.seed)
     o = algo.orientation
     in_mass = o.in_mass(algo.p_scaled)
     doc = {
@@ -268,14 +258,14 @@ def _emit(doc, out):
         sys.stdout.write(text)
 
 
-def _verify_instance(loaded, cap):
+def _verify_instance(loaded):
     """Yield (check, status, slack, note) rows for one instance."""
     inst = loaded.instance
     tol = 1e-9
     mass_tol = 1e-12
 
     graphic = isinstance(inst.matroid, GraphicMatroid)
-    red = ex_ante_reduce(inst, cap=cap)
+    red = ex_ante_reduce(inst)
     # one algorithm serves the graphic checks and the online value
     algo = GraphicRandomCut(inst, red) if graphic else None
     opt = red.prophet_value
@@ -297,21 +287,19 @@ def _verify_instance(loaded, cap):
         worst = float(in_mass.max()) if in_mass.size else 0.0
         yield ("orientation-mass", worst <= 0.5 + mass_tol, 0.5 - worst, "")
 
-        if g.n <= 10:
-            # blocking probability is monotone in the subset, so the
-            # largest subset avoiding the head's outgoing edges is the
-            # worst case for each edge
-            worst_b = 0.0
-            for i in range(g.n):
-                out_v = set(o.outgoing(int(o.heads[i])))
-                pool = [e for e in range(g.n) if e not in out_v]
-                b = blocking_probability(g, p_scaled, pool, i, cap=cap)
-                worst_b = max(worst_b, b)
-            yield ("incoming-blocking", worst_b <= 0.5 + mass_tol,
-                   0.5 - worst_b, "")
+        # blocking probability is monotone in the subset, so the largest
+        # subset avoiding the head's outgoing edges is the worst case for
+        # each edge
+        worst_b = 0.0
+        for i in range(g.n):
+            out_v = set(o.outgoing(int(o.heads[i])))
+            pool = [e for e in range(g.n) if e not in out_v]
+            worst_b = max(worst_b, blocking_probability(g, p_scaled, pool, i))
+        yield ("incoming-blocking", worst_b <= 0.5 + mass_tol, 0.5 - worst_b,
+               "")
 
         # one table of all 2^V cuts: the bound, the derandomized cut, its value
-        table = cut_table(g, p_scaled, red.t, o, cap)
+        table = cut_table(g, p_scaled, red.t, o)
         bound = float(running_sum(0.0, table) / table.size)
         target = float(p_scaled @ red.t) / 8.0
         yield ("random-cut-bound", bound >= target - tol, bound - target, "")
@@ -320,7 +308,7 @@ def _verify_instance(loaded, cap):
         yield ("derandomized-cut", best_obj >= bound - tol, best_obj - bound,
                "")
 
-        alg_value = expected_value_exact(inst, algo, cap=cap)
+        alg_value = expected_value_exact(inst, algo)
         target = opt / 32.0
         yield ("online-value", alg_value >= target - tol, alg_value - target,
                "")
@@ -330,7 +318,7 @@ def _verify_instance(loaded, cap):
                           if isinstance(inst.matroid, UniformMatroid)
                           else ("partition", "partition-optfrac")):
             algo = make_baseline(inst, algo_name, reduction=red)
-            val = expected_value_exact(inst, algo, cap=cap)
+            val = expected_value_exact(inst, algo)
             slack = val - opt / 2.0
             yield (f"baseline-half[{algo_name}]", slack >= -tol, slack, "")
 
@@ -347,7 +335,7 @@ def cmd_verify(args):
             loaded = load_instance(f)
         except ValueError as exc:
             raise ValueError(f"{f}: {exc}") from exc
-        for check, ok, slack, note in _verify_instance(loaded, args.cap):
+        for check, ok, slack, note in _verify_instance(loaded):
             status = "pass" if ok else "FAIL"
             if not ok:
                 failures += 1
@@ -390,7 +378,6 @@ def build_parser():
     reduction.add_argument("--mode", choices=("exact", "mc"), default="exact")
     reduction.add_argument("--trials", type=int, default=100_000)
     reduction.add_argument("--seed", type=int, default=0)
-    reduction.add_argument("--cap", type=_cap, default=None)
 
     p = sub.add_parser("run", parents=[reduction],
                        help="run one algorithm on one instance")
@@ -416,7 +403,6 @@ def build_parser():
     p = sub.add_parser("verify", help="check the guarantees on a suite")
     p.add_argument("--suite", required=True,
                    help="instance file or directory of *.json instances")
-    p.add_argument("--cap", type=_cap, default=None)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -156,7 +156,7 @@ def rule_pass_profile(inst, rule):
     return r, tau
 
 
-def expected_rule_value(inst, rule, order, cap=None):
+def expected_rule_value(inst, rule, order):
     """Exact expected online value of one fixed rule under one fixed order."""
     perm = as_permutation(order, inst.n)
     r, tau = rule_pass_profile(inst, rule)
@@ -164,7 +164,7 @@ def expected_rule_value(inst, rule, order, cap=None):
     blocks = kernels.partition_args(inst.matroid)
     if blocks is not None:
         return kernels.counting_rule_value(*blocks, cons, r, tau)
-    check_enum_cap(2 ** len(cons), f"2^{len(cons)} pass patterns", cap)
+    check_enum_cap(2 ** len(cons), f"2^{len(cons)} pass patterns")
     return kernels.rule_value_exact(inst.matroid, cons, r, tau)
 
 
@@ -178,18 +178,18 @@ def resolve_order(inst, order, algo):
     return as_permutation(order, inst.n)
 
 
-def expected_value_exact(inst, algo, order="worst_case", cap=None):
+def expected_value_exact(inst, algo, order="worst_case"):
     """Exact expected online value, averaging over every row of the
     algorithm's coins (e.g. every cut) and all pass patterns. A considered
     set's rule value is computed once, however many coin rows produce it."""
     order = resolve_order(inst, order, algo)
     k = algo.coins
-    check_enum_cap(2 ** k, f"2^{k} coin patterns", cap)
+    check_enum_cap(2 ** k, f"2^{k} coin patterns")
     rows = np.concatenate([algo.considered(bits)
                            for bits in kernels.subset_rows(k)])
     sets, inverse = kernels.distinct_rows(rows)
     values = np.array([expected_rule_value(inst, algo.rule.opened_on(s),
-                                           order, cap) for s in sets])
+                                           order) for s in sets])
     return float(kernels.running_sum(0.0, 0.5 ** k * values[inverse]))
 
 
@@ -256,11 +256,8 @@ def monte_carlo_ratio(inst, algo, trials, seed=0, order="worst_case",
     pro_vals = np.empty(trials)
     accepted = np.zeros((trials, inst.n), dtype=bool) if return_trials \
         else None
-    # per-trial streams do not depend on the block size: small blocks keep
-    # their stacked rows small
-    step = 1 << 9 if per_trial else kernels.BLOCK
-    for done in range(0, trials, step):
-        batch = min(step, trials - done)
+    for done in range(0, trials, kernels.BLOCK):
+        batch = min(kernels.BLOCK, trials - done)
         if per_trial:
             perm, consider, values, coins = _draw_trials(
                 inst, algo, seed, range(done, done + batch))
@@ -270,12 +267,7 @@ def monte_carlo_ratio(inst, algo, trials, seed=0, order="worst_case",
             consider = algo.consider_matrix(rng, batch)
         a, acc = kernels.mc_online_graphic(inst.matroid, perm, algo.rule,
                                            values, coins, consider)
-        p, best = kernels.mc_max_weight(inst.matroid, values)
-        if per_trial:
-            # per-trial streams sum the prophet's basis in index order
-            p = np.zeros(batch)
-            for e in range(inst.n):
-                np.add(p, values[:, e], out=p, where=best[:, e])
+        p, _ = kernels.mc_max_weight(inst.matroid, values)
         alg_vals[done:done + batch] = a
         pro_vals[done:done + batch] = p
         if accepted is not None:

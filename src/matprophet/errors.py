@@ -14,16 +14,15 @@ class VerificationError(AssertionError):
     """A guarantee check that should hold numerically did not."""
 
 
-def check_enum_cap(count, what, cap=None):
+def check_enum_cap(count, what):
     """Refuse an exact computation of `count` states (`what` names them)
-    above the enumeration cap: the explicit cap, else MATPROPHET_ENUM_CAP,
-    else the default."""
-    if cap is None:
-        cap = os.environ.get("MATPROPHET_ENUM_CAP", "").strip() \
-            or str(DEFAULT_ENUM_CAP)
-        if not cap.isdecimal():
-            raise ValueError("MATPROPHET_ENUM_CAP must be a nonnegative "
-                             f"integer, got {cap!r}")
+    above the enumeration cap: MATPROPHET_ENUM_CAP, else the default. The
+    variable is read here, at every check, and nowhere else."""
+    cap = os.environ.get("MATPROPHET_ENUM_CAP", "").strip() \
+        or str(DEFAULT_ENUM_CAP)
+    if not cap.isdecimal():
+        raise ValueError("MATPROPHET_ENUM_CAP must be a nonnegative "
+                         f"integer, got {cap!r}")
     limit = int(cap)
     if count > limit:
         raise EnumerationCapError(

@@ -86,14 +86,14 @@ def orient_low_indegree(g, p_scaled):
     return Orientation(g.num_vertices, g.eu.copy(), g.ev.copy(), heads)
 
 
-def blocking_probability(g, probs, subset, i, cap=None):
+def blocking_probability(g, probs, subset, i):
     """Probability that item i is spanned by an independent activation of
     subset \\ {i}, with item j active with probability probs[j]."""
     p = np.asarray(probs, dtype=float)
     members = np.array(sorted(set(int(e) for e in subset) - {int(i)}),
                        dtype=np.int64)
     check_enum_cap(2 ** members.size,
-                   f"2^{members.size} activation patterns", cap)
+                   f"2^{members.size} activation patterns")
     return kernels.connect_probability(g, members, p, int(i))
 
 
@@ -106,24 +106,24 @@ def cut_objective(g, p_scaled, t, orientation, in_a):
         np.asarray(t, dtype=float), assign))
 
 
-def cut_bound_exact(g, p_scaled, t, orientation, cap=None):
+def cut_bound_exact(g, p_scaled, t, orientation):
     """Exact expectation of the cut objective over the uniform random cut,
     the mean of cut_table; at least one eighth of sum(p_scaled * t)."""
-    table = cut_table(g, p_scaled, t, orientation, cap)
+    table = cut_table(g, p_scaled, t, orientation)
     return float(kernels.running_sum(0.0, table) / table.size)
 
 
-def cut_table(g, p_scaled, t, orientation, cap=None):
+def cut_table(g, p_scaled, t, orientation):
     """The objective of every cut, indexed by the mask with bit j set when
     vertex j is on side A (table[mask] is cut_objective of that cut, bit
     for bit). Its 2^V cuts are checked against the cap before any is
     built; kernels.cut_objectives checks the activation rows of their
     distinct crossing sets before it evaluates any."""
     nv = g.num_vertices
-    check_enum_cap(2 ** nv, f"2^{nv} cuts", cap)
+    check_enum_cap(2 ** nv, f"2^{nv} cuts")
     cross = orientation.crossing(np.concatenate(list(kernels.subset_rows(nv))))
     return kernels.cut_objectives(g, np.asarray(p_scaled, dtype=float),
-                                  np.asarray(t, dtype=float), cross, cap)
+                                  np.asarray(t, dtype=float), cross)
 
 
 def conditional_cut(table):
@@ -141,11 +141,11 @@ def conditional_cut(table):
     return base
 
 
-def derandomize_cut(g, p_scaled, t, orientation, cap=None):
+def derandomize_cut(g, p_scaled, t, orientation):
     """Fix vertex sides one at a time by conditional expectations; the
     resulting cut's objective is at least the random-cut expectation.
     Returns the cut as a read-only side-A indicator per vertex."""
-    base = conditional_cut(cut_table(g, p_scaled, t, orientation, cap))
+    base = conditional_cut(cut_table(g, p_scaled, t, orientation))
     in_a = (base >> np.arange(g.num_vertices)) & 1 == 1
     in_a.flags.writeable = False
     return in_a
@@ -194,9 +194,9 @@ class GraphicDerandomizedCut(GraphicRandomCut):
     name = "graphic-derandomized"
     considered = FixedRuleAlgorithm.considered
 
-    def __init__(self, inst, reduction=None, cap=None):
+    def __init__(self, inst, reduction=None):
         super().__init__(inst, reduction)
         self.coins = 0
         self.cut = derandomize_cut(inst.matroid, self.p_scaled,
-                                   self.reduction.t, self.orientation, cap)
+                                   self.reduction.t, self.orientation)
         self.rule = self.rule_for_cut(self.cut)

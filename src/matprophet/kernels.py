@@ -305,7 +305,7 @@ def distinct_rows(rows):
     return keys.view(bool).reshape(len(keys), -1)[:, 1:], inverse
 
 
-def cut_objectives(g, p, t, cross, cap=None):
+def cut_objectives(g, p, t, cross):
     """The cut objective of every row of cross, a stack of crossing masks
     (`Orientation.crossing` of a stack of cuts).
 
@@ -316,7 +316,7 @@ def cut_objectives(g, p, t, cross, cap=None):
     """
     sets, inverse = distinct_rows(cross)
     rows = sum(k << (k - 1) for k in sets.sum(axis=1).tolist() if k)
-    check_enum_cap(rows, f"{rows} activation rows", cap)
+    check_enum_cap(rows, f"{rows} activation rows")
     values = np.array([_crossing_objective(g, p, t, np.flatnonzero(row))
                        for row in sets])
     return values[inverse]

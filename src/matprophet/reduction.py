@@ -90,13 +90,13 @@ def _support_arrays(inst):
     return offsets, values, probs
 
 
-def _exact_opt_and_membership(inst, cap=None):
+def _exact_opt_and_membership(inst):
     offsets, values, probs = _support_arrays(inst)
     blocks = kernels.partition_args(inst.matroid)
     if blocks is not None:
         return kernels.counting_reduce(*blocks, offsets, values, probs)
     count = inst.outcome_count()
-    check_enum_cap(count, f"{count} product outcomes", cap)
+    check_enum_cap(count, f"{count} product outcomes")
     return kernels.exact_reduce(inst.matroid, offsets, values, probs)
 
 
@@ -135,13 +135,13 @@ def _mc_opt_and_membership(inst, trials, seed):
     return mean, math.sqrt(var / trials), counts
 
 
-def prophet_value_exact(inst, cap=None):
+def prophet_value_exact(inst):
     """Expected offline max-weight value, exact (as in ex_ante_reduce)."""
-    opt, _ = _exact_opt_and_membership(inst, cap)
+    opt, _ = _exact_opt_and_membership(inst)
     return opt
 
 
-def ex_ante_reduce(inst, mode="exact", trials=100_000, seed=0, cap=None):
+def ex_ante_reduce(inst, mode="exact", trials=100_000, seed=0):
     """Reduce a prophet instance to its ex-ante Bernoulli form.
 
     Exact mode enumerates the outcome product (cap-guarded) or counts on a
@@ -150,7 +150,7 @@ def ex_ante_reduce(inst, mode="exact", trials=100_000, seed=0, cap=None):
     prophet value comes from the same run; the slack is computed when read.
     """
     if mode == "exact":
-        opt, p = _exact_opt_and_membership(inst, cap)
+        opt, p = _exact_opt_and_membership(inst)
         stderr, used_trials = None, 0
     elif mode == "mc":
         opt, stderr, counts = _mc_opt_and_membership(inst, trials, seed)

@@ -1,6 +1,7 @@
 """API drift: the names the README and the benchmark's tracer rely on,
 and the packages the library may import."""
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -66,3 +67,37 @@ def test_every_module_import_is_used():
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]
                     assert bound in read, f"{path.name}: {bound} unused"
+
+
+def test_the_enumeration_budget_has_one_source():
+    # MATPROPHET_ENUM_CAP, read by errors.check_enum_cap, is the only
+    # budget: no function takes a cap of its own, and no other module
+    # reads the variable
+    for path in sorted((ROOT / "src" / "matprophet").glob("*.py")):
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                a = node.args
+                names = [arg.arg for arg in a.posonlyargs + a.args
+                         + a.kwonlyargs + [a.vararg, a.kwarg] if arg]
+                assert "cap" not in names, \
+                    f"{path.name}:{node.lineno} takes a cap parameter"
+        if path.name != "errors.py":
+            assert "MATPROPHET_ENUM_CAP" not in text, path.name
+
+
+def test_readme_cli_flags_exist():
+    # every --flag the README's CLI section names is an option of some
+    # subcommand
+    from matprophet.cli import build_parser
+
+    readme = (ROOT / "README.md").read_text()
+    cli = readme[readme.index("## CLI"):readme.index("## Benchmarks")]
+    named = set(re.findall(r"--[a-z][a-z-]*", cli))
+    assert named
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {flag for p in sub.choices.values()
+               for flag in p._option_string_actions}
+    assert named <= options, sorted(named - options)

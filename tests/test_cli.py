@@ -275,7 +275,7 @@ def test_reduce_and_orient(tmp_path, capsys):
     assert np.allclose(np.array(doc["p_scaled"]), np.array(doc["p"]) / 4.0)
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, monkeypatch):
     inst_path = tmp_path / "u.json"
     run_cli("gen", "--family", "uniform", "--n", 3, "--k", 1, "--seed", 1,
             "--out", inst_path)
@@ -292,8 +292,9 @@ def test_exit_codes(tmp_path):
     graph_path = tmp_path / "g.json"
     run_cli("gen", "--family", "graphic", "--vertices", 3, "--edges", 3,
             "--seed", 1, "--out", graph_path)
-    assert run_cli("reduce", "--instance", graph_path, "--cap", 2) == 2
-    assert run_cli("reduce", "--instance", inst_path, "--cap", 2) == 0
+    monkeypatch.setenv("MATPROPHET_ENUM_CAP", "2")
+    assert run_cli("reduce", "--instance", graph_path) == 2
+    assert run_cli("reduce", "--instance", inst_path) == 0
     # random order cannot be computed exactly
     assert run_cli("run", "--instance", inst_path, "--algo", "samuel-cahn",
                    "--mode", "exact", "--order", "random",
@@ -318,8 +319,8 @@ def test_cap_values_from_outside_are_checked(tmp_path, capsys,
     monkeypatch.delenv("MATPROPHET_ENUM_CAP")
 
     def never(*args, **kwargs):
-        raise AssertionError("the instance was loaded before --cap was "
-                             "checked")
+        raise AssertionError("the instance was loaded before the arguments "
+                             "were checked")
 
     monkeypatch.setattr("matprophet.cli.load_instance", never)
     for argv in (("run", "--algo", "graphic-random-cut", "--out",
@@ -327,11 +328,11 @@ def test_cap_values_from_outside_are_checked(tmp_path, capsys,
                  ("reduce", "--instance", inst_path),
                  ("orient", "--instance", inst_path),
                  ("verify", "--suite", inst_path)):
-        # a usage error: the parser exits 1, like an unknown flag
+        # the budget has one source, the variable: --cap is a usage error
         with pytest.raises(SystemExit) as err:
-            run_cli(*argv, "--cap", -1)
+            run_cli(*argv, "--cap", 5)
         assert err.value.code == 1
-        assert "cap must be nonnegative, got -1" in capsys.readouterr().err
+        assert "unrecognized arguments: --cap 5" in capsys.readouterr().err
 
 
 def test_out_directories_are_created(tmp_path, monkeypatch):
@@ -576,23 +577,43 @@ def test_verify_audits_a_declared_vector_past_the_subset_cap(tmp_path,
     assert "polytope-membership          FAIL -1.300e+01" in out
 
 
+def test_verify_checks_incoming_blocking_at_every_size(tmp_path, capsys,
+                                                       monkeypatch):
+    # 12 edges: only the enumeration cap limits the blocking row
+    monkeypatch.delenv("MATPROPHET_ENUM_CAP", raising=False)
+    path = tmp_path / "g.json"
+    run_cli("gen", "--family", "graphic", "--vertices", 5, "--edges", 12,
+            "--allow-parallel", "--seed", 3, "--out", path)
+    capsys.readouterr()
+    assert run_cli("verify", "--suite", path) == 0
+    assert "incoming-blocking            pass +3.617e-01" \
+        in capsys.readouterr().out
+    # one outcome, so the reduction fits a cap of 1000; an edge whose pool
+    # holds 10 other edges does not, and is refused, not left out
+    inst = load_instance(path).instance
+    save_instance(path, ProphetInstance(
+        inst.matroid, [DiscreteDistribution.constant(1.0)] * inst.n))
+    monkeypatch.setenv("MATPROPHET_ENUM_CAP", "1000")
+    assert run_cli("verify", "--suite", path) == 2
+    assert capsys.readouterr().err == (
+        "error: 2^10 activation patterns exceed the enumeration cap 1000\n")
+
+
 def test_baseline_reduction_follows_run_settings(tmp_path, monkeypatch):
-    # 64 outcomes: past the environment's cap, within the run's --cap
+    # 64 outcomes, past the cap: a uniform instance is counted instead
     monkeypatch.setenv("MATPROPHET_ENUM_CAP", "32")
     inst_path = tmp_path / "u.json"
     run_cli("gen", "--family", "uniform", "--n", 6, "--k", 2,
             "--support-size", 2, "--seed", 5, "--out", inst_path)
     assert load_instance(inst_path).instance.outcome_count() == 64
     assert run_cli("run", "--instance", inst_path, "--algo", "kuniform-prob",
-                   "--mode", "exact", "--cap", 100,
-                   "--out", tmp_path / "exact") == 0
+                   "--mode", "exact", "--out", tmp_path / "exact") == 0
     summary = json.loads((tmp_path / "exact.summary.json").read_text())
     assert summary["ratio"] >= 0.5 - 1e-9
     for order in ("worst-case", "random"):
         assert run_cli("run", "--instance", inst_path, "--algo",
                        "kuniform-prob", "--mode", "mc", "--trials", 1000,
-                       "--order", order, "--cap", 100,
-                       "--out", tmp_path / order) == 0
+                       "--order", order, "--out", tmp_path / order) == 0
 
 
 def test_verify_suite_and_negative_control(tmp_path, capsys):

@@ -187,17 +187,19 @@ def test_coupled_sample_matches_quantile():
         assert gains == pytest.approx(red.p * red.t, abs=0.02)
 
 
-def test_outcome_cap():
+def test_outcome_cap(monkeypatch):
     rng = np.random.default_rng(0)
     inst = random_graphic_instance(rng, max_vertices=4, max_edges=4)
     assert inst.outcome_count() > 2
+    uniform = random_uniform_instance(rng, max_n=4)
+    assert uniform.outcome_count() > 2
+    want = prophet_value_exact(uniform)
+    monkeypatch.setenv("MATPROPHET_ENUM_CAP", "2")
     with pytest.raises(EnumerationCapError):
-        prophet_value_exact(inst, cap=2)
+        prophet_value_exact(inst)
     # a uniform instance is counted, not enumerated: the cap does not
     # reach it
-    inst = random_uniform_instance(rng, max_n=4)
-    assert inst.outcome_count() > 2
-    assert prophet_value_exact(inst, cap=2) == prophet_value_exact(inst)
+    assert prophet_value_exact(uniform) == want
 
 
 def test_values_from_uniform_is_the_sampler():
