@@ -17,7 +17,7 @@ import numpy as np
 
 from .baselines import FAMILIES, make_baseline, require_family
 from .engine import expected_value_exact, monte_carlo_ratio, safe_ratio
-from .errors import EnumerationCapError, VerificationError
+from .errors import EnumerationCapError, VerificationError, check_enum_cap
 from .generate import random_dists, random_graph
 from .graphic import (GraphicDerandomizedCut, GraphicRandomCut,
                       blocking_probability, conditional_cut, cut_table,
@@ -289,11 +289,15 @@ def _verify_instance(loaded):
 
         # blocking probability is monotone in the subset, so the largest
         # subset avoiding the head's outgoing edges is the worst case for
-        # each edge
-        worst_b = 0.0
+        # each edge; the row's patterns are counted once, over all edges
+        pools = []
         for i in range(g.n):
-            out_v = set(o.outgoing(int(o.heads[i])))
-            pool = [e for e in range(g.n) if e not in out_v]
+            skip = set(o.outgoing(int(o.heads[i]))) | {i}
+            pools.append([e for e in range(g.n) if e not in skip])
+        total = sum(2 ** len(pool) for pool in pools)
+        check_enum_cap(total, f"{total} incoming-blocking activation patterns")
+        worst_b = 0.0
+        for i, pool in enumerate(pools):
             worst_b = max(worst_b, blocking_probability(g, p_scaled, pool, i))
         yield ("incoming-blocking", worst_b <= 0.5 + mass_tol, 0.5 - worst_b,
                "")

@@ -16,7 +16,11 @@ def random_distribution(rng, support_size=3, value_max=10.0, zero_atom=0.5):
     """Random discrete distribution; with probability zero_atom the lowest
     support value is pinned to 0 so zero-weight handling gets exercised.
     Values are uniform draws below value_max on the 0.001 grid, redrawn
-    until distinct, at most MAX_REDRAWS times."""
+    until distinct, at most MAX_REDRAWS times. The grid holds at most
+    N = floor(1000 * value_max) + 2 reachable points, and k draws on N
+    points are all distinct with probability at most exp(-k(k-1) / 2N), so
+    a size with MAX_REDRAWS * exp(-k(k-1) / 2N) < 1e-12 is refused before
+    any draw: its redraws would all fail but with probability below 1e-12."""
     if support_size < 1:
         raise ValueError("support needs at least one value")
     # grid points 0..k (in thousandths) are reachable when
@@ -24,6 +28,13 @@ def random_distribution(rng, support_size=3, value_max=10.0, zero_atom=0.5):
     if not support_size - 1.5 < 1000.0 * value_max < math.inf:
         raise ValueError(f"value max {value_max} leaves no room for "
                          f"{support_size} distinct values on the 0.001 grid")
+    grid = math.floor(1000.0 * value_max) + 2
+    pairs = support_size * (support_size - 1) / 2
+    if MAX_REDRAWS * math.exp(-pairs / grid) < 1e-12:
+        raise ValueError(f"{support_size} values below {value_max} on the "
+                         "0.001 grid are almost never distinct: all "
+                         f"{MAX_REDRAWS} draws would fail but with "
+                         "probability below 1e-12")
     for _ in range(MAX_REDRAWS):
         vals = np.sort(np.round(rng.uniform(0.0, value_max, support_size), 3))
         if np.all(np.diff(vals) > 0):

@@ -2,11 +2,10 @@
 
 `batched_greedy` runs the greedy arrival rule on many rows at once: row r
 scans its arrival order and accepts an item when the row takes it and it
-keeps the row's selection independent. Graphic matroids track per-row
-component labels, partition and uniform matroids per-row block counts
-(their `kernel_args` encoding: kind 0 is graphic (num_vertices, eu, ev),
-kind 1 is capacitated partition (block_id, caps)); any other Matroid is
-checked row by row through its is_independent oracle.
+keeps the row's selection independent. A matroid is its `kernel_args`
+encoding, one branch per kind: graphic (kind 0: num_vertices, eu, ev)
+tracks per-row component labels, a capacitated partition such as a
+uniform matroid (kind 1: block_id, caps) per-row block counts.
 
 Every Monte Carlo computation, and every exact one but the counting DP of
 uniform and partition matroids (`below_cap`), builds blocks of rows
@@ -51,18 +50,7 @@ def batched_greedy(m, order, take, values):
     order = np.asarray(order)
     totals = np.zeros(rows)
     accepted = np.zeros(take.shape, dtype=bool)
-    args = m.kernel_args()
-    if args is None:
-        orders = np.broadcast_to(order, (rows, order.shape[-1]))
-        for r in range(rows):
-            picked = []
-            for e in orders[r].tolist():
-                if take[r, e] and m.is_independent(picked + [e]):
-                    picked.append(e)
-                    totals[r] += values[r, e]
-            accepted[r, picked] = True
-        return totals, accepted
-    kind, num_vertices, eu, ev, block_id, caps = args
+    kind, num_vertices, eu, ev, block_id, caps = m.kernel_args()
     idx = np.arange(rows)
     if kind == KIND_GRAPHIC:
         label = np.empty((rows, num_vertices), np.min_scalar_type(num_vertices))
@@ -153,7 +141,7 @@ def partition_args(m):
     """(block_id, caps) of a uniform or partition matroid (kernel_args kind
     1, which exact mode counts instead of enumerating), else None."""
     args = m.kernel_args()
-    return args[4:] if args is not None and args[0] == KIND_PARTITION else None
+    return args[4:] if args[0] == KIND_PARTITION else None
 
 
 def below_cap(probs, caps):

@@ -1,11 +1,11 @@
-"""Matroid oracles: independence, rank, greedy optimization, and
-membership in the independent-set polytope.
+"""Matroids: three families (graphic, uniform, partition), greedy
+optimization, and the slack of the independent-set polytope.
 
-Elements are integers 0..n-1. Three concrete families are provided (graphic,
-uniform, partition); anything else can subclass Matroid and only supply
-is_independent. Each family defines itself by is_independent; rank, bases
-and polytope slack run kernels.batched_greedy (the slack of a uniform or
-partition matroid sorts instead).
+Elements are integers 0..n-1. A family is its kernel_args encoding, the
+one that kernels.batched_greedy runs; greedy in any order accepts every
+item of a set exactly when the set is independent, so the encoding alone
+decides independence. Bases and the polytope slack run the primitive (the
+slack of a uniform or partition matroid sorts instead).
 """
 
 import itertools
@@ -34,32 +34,13 @@ def _integer(x, what):
 
 
 class Matroid:
-    """Independence oracle plus the derived operations every matroid gets."""
+    """n elements plus what every family derives from its kernel_args."""
 
     def __init__(self, n):
         n = _integer(n, "n")
         if n < 0:
             raise ValueError("ground set size must be nonnegative")
         self.n = n
-
-    def is_independent(self, elements):
-        raise NotImplementedError
-
-    def _check_elements(self, elements):
-        elems = [int(e) for e in elements]
-        for e in elems:
-            if not 0 <= e < self.n:
-                raise ValueError(f"element index {e} out of range")
-        if len(set(elems)) != len(elems):
-            raise ValueError("duplicate element index")
-        return elems
-
-    def rank(self, elements):
-        """Size of a maximal independent subset (greedy is exact here)."""
-        elems = np.array(self._check_elements(elements), dtype=np.int64)
-        _, accepted = kernels.batched_greedy(
-            self, elems, np.ones((1, self.n), dtype=bool), 0.0)
-        return int(accepted.sum())
 
     def max_weight_basis(self, weights):
         """Greedy max-weight independent set.
@@ -109,13 +90,10 @@ class Matroid:
             best = min(best, slack.min())
         return float(best)
 
-    def in_polytope(self, p, tol=1e-9):
-        return self.polytope_slack(p) >= -tol
-
     def kernel_args(self):
         """(kind, num_vertices, eu, ev, block_id, caps) for
-        kernels.batched_greedy, or None to have it ask is_independent."""
-        return None
+        kernels.batched_greedy; every family supplies it."""
+        raise NotImplementedError
 
 
 def _partition_slack(p, block_id, caps):
@@ -152,23 +130,6 @@ class GraphicMatroid(Matroid):
         self.eu = np.array([u for u, _ in edges], dtype=np.int64)
         self.ev = np.array([v for _, v in edges], dtype=np.int64)
 
-    def is_independent(self, elements):
-        elems = self._check_elements(elements)
-        parent = list(range(self.num_vertices))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in elems:
-            ru, rv = find(self.eu[e]), find(self.ev[e])
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
-
     def kernel_args(self):
         return (0, self.num_vertices, self.eu, self.ev,
                 np.zeros(self.n, np.int64), np.array([self.n], np.int64))
@@ -183,9 +144,6 @@ class UniformMatroid(Matroid):
         if not 0 <= k <= self.n:
             raise ValueError(f"capacity k={k} must satisfy 0 <= k <= n={n}")
         self.k = k
-
-    def is_independent(self, elements):
-        return len(self._check_elements(elements)) <= self.k
 
     def kernel_args(self):
         return (1, 0, np.zeros(self.n, np.int64), np.zeros(self.n, np.int64),
@@ -214,16 +172,6 @@ class PartitionMatroid(Matroid):
         for b, block in enumerate(blocks):
             for e in block:
                 self.block_id[e] = b
-
-    def is_independent(self, elements):
-        elems = self._check_elements(elements)
-        used = [0] * len(self.blocks)
-        for e in elems:
-            b = self.block_id[e]
-            used[b] += 1
-            if used[b] > self.capacities[b]:
-                return False
-        return True
 
     def kernel_args(self):
         return (1, 0, np.zeros(self.n, np.int64), np.zeros(self.n, np.int64),

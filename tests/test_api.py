@@ -54,9 +54,12 @@ def test_imports_stay_within_numpy_and_scipy():
 
 
 def test_every_module_import_is_used():
-    # no linter is a dependency: a name a module imports but never reads
-    # is found here (the package's __init__ imports to re-export)
-    for path in sorted((ROOT / "src" / "matprophet").glob("*.py")):
+    # no linter is a dependency: a name a module or a test imports but
+    # never reads is found here (the package's __init__ imports to
+    # re-export)
+    paths = sorted((ROOT / "src" / "matprophet").glob("*.py")) \
+        + sorted((ROOT / "tests").glob("*.py"))
+    for path in paths:
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())

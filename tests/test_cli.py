@@ -14,6 +14,7 @@ from matprophet.cli import CSV_HEADER, _fmt, main, make_algorithm
 from matprophet.distributions import DiscreteDistribution
 from matprophet.engine import monte_carlo_ratio, safe_ratio
 from matprophet.generate import random_distribution, random_graphic_instance
+from oracles import rank
 
 
 def test_round_trip_graphic(tmp_path):
@@ -40,7 +41,7 @@ def test_round_trip_other_families(tmp_path):
         save_instance(path, inst)
         got = load_instance(path).instance
         assert type(got.matroid) is type(m)
-        assert got.matroid.rank(range(3)) == m.rank(range(3))
+        assert rank(got.matroid, range(3)) == rank(m, range(3))
 
 
 def test_round_trip_bernoulli(tmp_path):
@@ -378,6 +379,23 @@ def test_gen_refuses_a_value_max_without_room(tmp_path, capsys,
     assert d.values.tolist() == [0.0, 0.001]
 
 
+def test_gen_refuses_a_support_that_is_almost_never_distinct(tmp_path,
+                                                             capsys):
+    # 20,000 values on a grid of 10^6 points: a draw is distinct with
+    # probability below e^-199, so the redraws are refused before any is
+    # made, where they once ran for half a minute
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="almost never distinct"):
+        random_distribution(rng, 20000, 1000.0)
+    assert rng.bit_generator.state == state
+    out = tmp_path / "u.json"
+    assert run_cli("gen", "--family", "uniform", "--n", 1, "--support-size",
+                   20000, "--value-max", 1000, "--out", out) == 1
+    assert "almost never distinct" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exact_random_order_is_refused_before_any_work(tmp_path, capsys,
                                                        monkeypatch):
     inst_path = tmp_path / "g.json"
@@ -588,15 +606,31 @@ def test_verify_checks_incoming_blocking_at_every_size(tmp_path, capsys,
     assert run_cli("verify", "--suite", path) == 0
     assert "incoming-blocking            pass +3.617e-01" \
         in capsys.readouterr().out
-    # one outcome, so the reduction fits a cap of 1000; an edge whose pool
-    # holds 10 other edges does not, and is refused, not left out
+    # one outcome, so the reduction fits a cap of 1000; the blocking row's
+    # patterns do not, and the row is refused, not left out
     inst = load_instance(path).instance
     save_instance(path, ProphetInstance(
         inst.matroid, [DiscreteDistribution.constant(1.0)] * inst.n))
     monkeypatch.setenv("MATPROPHET_ENUM_CAP", "1000")
     assert run_cli("verify", "--suite", path) == 2
     assert capsys.readouterr().err == (
-        "error: 2^10 activation patterns exceed the enumeration cap 1000\n")
+        "error: 14592 incoming-blocking activation patterns exceed the "
+        "enumeration cap 1000\n")
+
+
+def test_verify_counts_the_blocking_row_once(tmp_path, capsys, monkeypatch):
+    # each of the 12 edges enumerates at most 2^11 patterns, under the cap,
+    # but the row's 18,624 together are not: refused before the first
+    g = generate.random_graph(np.random.default_rng(0), 5, 12,
+                              allow_parallel=True)
+    path = tmp_path / "b.json"
+    save_instance(path, bernoulli_to_dict(g, [0.2] * g.n, [1.0] * g.n))
+    monkeypatch.setenv("MATPROPHET_ENUM_CAP", "4096")
+    assert run_cli("verify", "--suite", path) == 2
+    out, err = capsys.readouterr()
+    assert "orientation-mass" in out and "incoming-blocking" not in out
+    assert err == ("error: 18624 incoming-blocking activation patterns "
+                   "exceed the enumeration cap 4096\n")
 
 
 def test_baseline_reduction_follows_run_settings(tmp_path, monkeypatch):
