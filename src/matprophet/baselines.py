@@ -136,8 +136,8 @@ def partition_thresholds(inst, method="probabilistic"):
 
 
 class BaselineAlgorithm(FixedRuleAlgorithm):
-    def __init__(self, inst, rule, name, info, reduction=None):
-        super().__init__(inst, rule, reduction)
+    def __init__(self, inst, rule, name, info):
+        super().__init__(inst, rule)
         self.name = name
         self.info = info
 
@@ -166,10 +166,8 @@ def require_family(inst, name):
         raise ValueError(f"{name} runs on {family}")
 
 
-def make_baseline(inst, name, reduction=None):
-    """Build a baseline by CLI name. `reduction` is the ex-ante reduction
-    its worst-case order comes from (by default the exact one, computed
-    when first read)."""
+def make_baseline(inst, name):
+    """Build a baseline by CLI name."""
     require_family(inst, name)
     if name == "samuel-cahn":
         ut = samuel_cahn_threshold(inst)
@@ -180,5 +178,5 @@ def make_baseline(inst, name, reduction=None):
     else:
         method = "opt-fraction" if name.endswith("optfrac") else "probabilistic"
         rule, per_block = partition_thresholds(inst, method)
-        return BaselineAlgorithm(inst, rule, name, per_block, reduction)
-    return BaselineAlgorithm(inst, ut.to_rule(inst.n), name, ut, reduction)
+        return BaselineAlgorithm(inst, rule, name, per_block)
+    return BaselineAlgorithm(inst, ut.to_rule(inst.n), name, ut)

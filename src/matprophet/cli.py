@@ -40,8 +40,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def make_algorithm(inst, name, mode="exact", trials=100_000, seed=0):
-    """Reduce the instance with the run's settings and build the named
-    algorithm on that reduction."""
+    """(the reduction with the run's settings, the named algorithm); only
+    the graphic algorithms are built from that reduction."""
     # refuse the wrong family before the reduction enumerates anything
     if name in GRAPHIC_ALGOS:
         require_graphic(inst)
@@ -49,10 +49,10 @@ def make_algorithm(inst, name, mode="exact", trials=100_000, seed=0):
         require_family(inst, name)
     red = ex_ante_reduce(inst, mode=mode, trials=trials, seed=seed)
     if name == "graphic-random-cut":
-        return GraphicRandomCut(inst, red)
+        return red, GraphicRandomCut(inst, red)
     if name == "graphic-derandomized":
-        return GraphicDerandomizedCut(inst, red)
-    return make_baseline(inst, name, reduction=red)
+        return red, GraphicDerandomizedCut(inst, red)
+    return red, make_baseline(inst, name)
 
 
 def _fmt(x):
@@ -140,8 +140,8 @@ def cmd_run(args):
         raise ValueError("exact mode needs the worst-case order")
     loaded = load_instance(args.instance)
     inst = loaded.instance
-    algo = make_algorithm(inst, args.algo, mode=args.mode,
-                          trials=args.trials, seed=args.seed)
+    red, algo = make_algorithm(inst, args.algo, mode=args.mode,
+                               trials=args.trials, seed=args.seed)
     out_prefix = Path(args.out)
     summary = {
         "instance": str(args.instance),
@@ -153,9 +153,9 @@ def cmd_run(args):
 
     if args.mode == "exact":
         alg_value = expected_value_exact(inst, algo)
-        # a second enumeration of the same outcomes (algo.reduction holds
-        # this value): perfbench's host sampler cannot yet time an exact-run
-        # operation shorter than its 50 ms period (ROADMAP item 1)
+        # a second enumeration of the same outcomes (red holds this value):
+        # perfbench's host sampler cannot yet time an exact-run operation
+        # shorter than its 50 ms period (ROADMAP item 1)
         opt = prophet_value_exact(inst)
         ratio, degenerate = safe_ratio(alg_value, opt)
         summary.update(alg_value=alg_value, prophet_value=opt, ratio=ratio,
@@ -175,7 +175,6 @@ def cmd_run(args):
         rows = _trial_rows(args.seed, order_tag, alg_vals, pro_vals,
                            accepted)
 
-    red = algo.reduction
     summary["p"] = red.p.tolist()
     summary["t"] = red.t.tolist()
     summary["priced_bound"] = red.bound()
@@ -211,6 +210,8 @@ def cmd_run(args):
 
 
 def cmd_reduce(args):
+    """The ex-ante reduction; its `worst_case_order` sorts t ascending, the
+    worst order of the Bernoulli view (p, t) only (`engine.resolve_order`)."""
     loaded = load_instance(args.instance)
     inst = loaded.instance
     red = ex_ante_reduce(inst, mode=args.mode, trials=args.trials,
@@ -232,13 +233,13 @@ def cmd_reduce(args):
 
 
 def cmd_orient(args):
-    algo = make_algorithm(load_instance(args.instance).instance,
-                          "graphic-random-cut", mode=args.mode,
-                          trials=args.trials, seed=args.seed)
+    red, algo = make_algorithm(load_instance(args.instance).instance,
+                               "graphic-random-cut", mode=args.mode,
+                               trials=args.trials, seed=args.seed)
     o = algo.orientation
     in_mass = o.in_mass(algo.p_scaled)
     doc = {
-        "p": algo.reduction.p.tolist(),
+        "p": red.p.tolist(),
         "p_scaled": algo.p_scaled.tolist(),
         "heads": o.heads.tolist(),
         "tails": o.tails.tolist(),
@@ -321,7 +322,7 @@ def _verify_instance(loaded):
         for algo_name in (("kuniform-prob", "kuniform-optfrac")
                           if isinstance(inst.matroid, UniformMatroid)
                           else ("partition", "partition-optfrac")):
-            algo = make_baseline(inst, algo_name, reduction=red)
+            algo = make_baseline(inst, algo_name)
             val = expected_value_exact(inst, algo)
             slack = val - opt / 2.0
             yield (f"baseline-half[{algo_name}]", slack >= -tol, slack, "")

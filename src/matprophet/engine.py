@@ -17,8 +17,8 @@ from scipy.stats import norm
 
 from . import kernels
 from .errors import check_enum_cap
-from .reduction import (ex_ante_reduce, sample_value_matrix,
-                        values_from_uniform, worst_case_order)
+from .reduction import (sample_value_matrix, values_from_uniform,
+                        worst_case_order)
 
 LOW_SAMPLE_FLOOR = 1000
 
@@ -88,19 +88,16 @@ class FixedRuleAlgorithm:
     The only randomness is `coins` fair coins; `considered(bits)` maps rows
     of coin bits to masks of considered items. The engine draws the coins
     in Monte Carlo and enumerates them in exact mode. This class flips no
-    coin and considers every item. `reduction` is the ex-ante reduction the
-    worst-case order comes from; without one, the instance is reduced
-    exactly when it is first read.
+    coin and considers every item.
     """
 
     coins = 0
 
-    def __init__(self, instance, rule, reduction=None):
+    def __init__(self, instance, rule):
         if rule.n != instance.n:
             raise ValueError("rule size does not match the instance")
         self.instance = instance
         self.rule = rule
-        self._reduction = reduction
 
     def considered(self, bits):
         """(rows, n) masks of considered items, one per row of coin bits."""
@@ -114,12 +111,6 @@ class FixedRuleAlgorithm:
     def build(self, rng):
         """The rule of one draw of the considered set."""
         return self.rule.opened_on(self.consider_matrix(rng, 1)[0])
-
-    @property
-    def reduction(self):
-        if self._reduction is None:
-            self._reduction = ex_ante_reduce(self.instance)
-        return self._reduction
 
 
 def as_permutation(order, n):
@@ -168,26 +159,33 @@ def expected_rule_value(inst, rule, order):
     return kernels.rule_value_exact(inst.matroid, cons, r, tau)
 
 
-def resolve_order(inst, order, algo):
+def resolve_order(inst, order, rule):
     """A fixed order argument as a permutation row: a permutation, or
-    'worst_case' (priced values ascending, from algo's reduction)."""
+    'worst_case', the rule's conditional values given a pass ascending,
+    ties by index. Greedy in that order keeps a minimum-value basis of
+    every pass pattern (Edmonds 1971), so no fixed order does worse."""
     if isinstance(order, str):
         if order != "worst_case":
             raise ValueError(f"unknown order policy {order!r}")
-        order = worst_case_order(algo.reduction.t)
+        order = worst_case_order(rule_pass_profile(inst, rule)[1])
     return as_permutation(order, inst.n)
 
 
 def expected_value_exact(inst, algo, order="worst_case"):
-    """Exact expected online value, averaging over every row of the
-    algorithm's coins (e.g. every cut) and all pass patterns. A considered
-    set's rule value is computed once, however many coin rows produce it."""
-    order = resolve_order(inst, order, algo)
+    """Exact expected online value over every row of the algorithm's coins
+    (e.g. every cut) and all pass patterns, all counted up front. A
+    considered set's value is computed once, however many rows produce it."""
+    order = resolve_order(inst, order, algo.rule)
     k = algo.coins
     check_enum_cap(2 ** k, f"2^{k} coin patterns")
     rows = np.concatenate([algo.considered(bits)
                            for bits in kernels.subset_rows(k)])
     sets, inverse = kernels.distinct_rows(rows)
+    if kernels.partition_args(inst.matroid) is None:
+        live = rule_pass_profile(inst, algo.rule)[0] > 0.0
+        sizes = np.bincount((sets & live).sum(axis=1))
+        total = sum(int(c) << s for s, c in enumerate(sizes))
+        check_enum_cap(total, f"{total} pass patterns")
     values = np.array([expected_rule_value(inst, algo.rule.opened_on(s),
                                            order) for s in sets])
     return float(kernels.running_sum(0.0, 0.5 ** k * values[inverse]))
@@ -251,7 +249,7 @@ def monte_carlo_ratio(inst, algo, trials, seed=0, order="worst_case",
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     per_trial = isinstance(order, str) and order == "random"
     if not per_trial:
-        perm = resolve_order(inst, order, algo)
+        perm = resolve_order(inst, order, algo.rule)
     alg_vals = np.empty(trials)
     pro_vals = np.empty(trials)
     accepted = np.zeros((trials, inst.n), dtype=bool) if return_trials \

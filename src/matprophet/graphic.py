@@ -161,14 +161,15 @@ class GraphicRandomCut(FixedRuleAlgorithm):
     probabilities (`p_scaled`), opened only on the edges that cross a fresh
     uniform cut under a low-indegree `orientation`. Its coins are the
     vertices' sides (a set bit puts the vertex on side A); `rule` holds the
-    quantile threshold of every edge. Without a `reduction`, the instance
-    is reduced exactly."""
+    quantile threshold of every edge. `reduction` (by default the exact
+    one) gives the p and t the construction is built from."""
 
     name = "graphic-random-cut"
 
     def __init__(self, inst, reduction=None):
         require_graphic(inst)
         red = ex_ante_reduce(inst) if reduction is None else reduction
+        self.reduction = red
         self.p_scaled = scale(red.p, 0.25)
         self.p_scaled.flags.writeable = False
         self.orientation = orient_low_indegree(inst.matroid, self.p_scaled)
@@ -176,7 +177,7 @@ class GraphicRandomCut(FixedRuleAlgorithm):
         atom = np.empty(inst.n)
         for i, d in enumerate(inst.dists):
             thr[i], atom[i] = d.quantile_threshold(self.p_scaled[i])
-        super().__init__(inst, ThresholdRule(thr, atom), red)
+        super().__init__(inst, ThresholdRule(thr, atom))
         self.coins = inst.matroid.num_vertices
 
     def considered(self, bits):

@@ -236,8 +236,8 @@ def test_mc_csv_matches_per_row_oracle(tmp_path):
                 assert run_cli("run", "--instance", inst_path, "--algo", name,
                                "--mode", "mc", "--trials", trials, "--seed",
                                seed, "--order", order, "--out", out) == 0
-                algo = make_algorithm(inst, name, mode="mc", trials=trials,
-                                      seed=seed)
+                _, algo = make_algorithm(inst, name, mode="mc",
+                                         trials=trials, seed=seed)
                 _, alg, pro, acc = monte_carlo_ratio(
                     inst, algo, trials, seed=seed,
                     order=order.replace("-", "_"), return_trials=True)
@@ -631,6 +631,25 @@ def test_verify_counts_the_blocking_row_once(tmp_path, capsys, monkeypatch):
     assert "orientation-mass" in out and "incoming-blocking" not in out
     assert err == ("error: 18624 incoming-blocking activation patterns "
                    "exceed the enumeration cap 4096\n")
+
+
+def test_exact_run_counts_every_pass_pattern_up_front(tmp_path, capsys,
+                                                      monkeypatch):
+    # each of the 58 distinct considered sets passes the cap on its own,
+    # but their 1,865 pass patterns together do not: refused before any set
+    inst_path = tmp_path / "g.json"
+    run_cli("gen", "--family", "graphic", "--vertices", 8, "--edges", 10,
+            "--allow-parallel", "--support-size", 2, "--seed", 1000,
+            "--out", inst_path)
+    capsys.readouterr()
+    monkeypatch.setenv("MATPROPHET_ENUM_CAP", "1024")
+    assert run_cli("run", "--instance", inst_path, "--algo",
+                   "graphic-random-cut", "--mode", "exact",
+                   "--out", tmp_path / "o") == 2
+    _, err = capsys.readouterr()
+    assert err == ("error: 1865 pass patterns exceed the enumeration cap "
+                   "1024\n")
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_baseline_reduction_follows_run_settings(tmp_path, monkeypatch):

@@ -147,6 +147,18 @@ def test_mc_interval_covers_the_exact_ratio():
     assert misses <= 19
 
 
+def test_worst_case_mc_needs_no_reduction():
+    # the worst order comes from the rule itself, so a plain algorithm on
+    # the 14v/28e bench shape never reduces its 3^28 outcomes
+    rng = np.random.default_rng(1000)
+    g = random_graph(rng, 14, 28, allow_parallel=True)
+    inst = ProphetInstance(g, random_dists(rng, 28, support_size=3))
+    red = ex_ante_reduce(inst, mode="mc", trials=2000, seed=1)
+    algo = FixedRuleAlgorithm(inst, GraphicRandomCut(inst, red).rule)
+    res = monte_carlo_ratio(inst, algo, trials=2000, seed=1)
+    assert 0.0 < res.ratio <= 1.0
+
+
 def rule_bytes(rule):
     return rule.thresholds.tobytes(), rule.atom_pass.tobytes()
 

@@ -312,7 +312,7 @@ def test_exact_value_averages_every_cut_rule(monkeypatch):
         inst = random_graphic_instance(rng, max_vertices=5, max_edges=7)
         algo = GraphicRandomCut(inst)
         nv = inst.matroid.num_vertices
-        order = worst_case_order(algo.reduction.t)
+        order = worst_case_order(engine.rule_pass_profile(inst, algo.rule)[1])
         want = 0.0
         crossing_sets = set()
         for bits in itertools.product((False, True), repeat=nv):
