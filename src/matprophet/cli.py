@@ -20,10 +20,9 @@ from .engine import expected_value_exact, monte_carlo_ratio, safe_ratio
 from .errors import EnumerationCapError, VerificationError, check_enum_cap
 from .generate import random_dists, random_graph
 from .graphic import (GraphicDerandomizedCut, GraphicRandomCut,
-                      blocking_probability, conditional_cut, cut_table,
-                      require_graphic)
+                      blocking_probability, cut_bound_exact, cut_objective,
+                      derandomize_cut, require_graphic)
 from .io import load_instance, save_instance
-from .kernels import running_sum
 from .matroids import GraphicMatroid, PartitionMatroid, UniformMatroid
 from .reduction import (ProphetInstance, capped_slack, ex_ante_reduce,
                         prophet_value_exact, worst_case_order)
@@ -303,13 +302,12 @@ def _verify_instance(loaded):
         yield ("incoming-blocking", worst_b <= 0.5 + mass_tol, 0.5 - worst_b,
                "")
 
-        # one table of all 2^V cuts: the bound, the derandomized cut, its value
-        table = cut_table(g, p_scaled, red.t, o)
-        bound = float(running_sum(0.0, table) / table.size)
+        bound = cut_bound_exact(g, p_scaled, red.t, o)
         target = float(p_scaled @ red.t) / 8.0
         yield ("random-cut-bound", bound >= target - tol, bound - target, "")
 
-        best_obj = float(table[conditional_cut(table)])
+        best_obj = cut_objective(g, p_scaled, red.t, o,
+                                 derandomize_cut(g, p_scaled, red.t, o))
         yield ("derandomized-cut", best_obj >= bound - tol, best_obj - bound,
                "")
 

@@ -100,53 +100,32 @@ def blocking_probability(g, probs, subset, i):
 def cut_objective(g, p_scaled, t, orientation, in_a):
     """sum over crossing edges of p*t*(1 - blocking probability inside the
     crossing set), for the cut with side A indicator `in_a`."""
-    assign = np.where(np.asarray(in_a), 1, 0).astype(np.int8)
-    return float(kernels.expected_cut_objective(
-        g, orientation, np.asarray(p_scaled, dtype=float),
-        np.asarray(t, dtype=float), assign))
+    return kernels.expected_cut_objective(
+        g, orientation, p_scaled, t, np.asarray(in_a, dtype=np.int8))
 
 
 def cut_bound_exact(g, p_scaled, t, orientation):
-    """Exact expectation of the cut objective over the uniform random cut,
-    the mean of cut_table; at least one eighth of sum(p_scaled * t)."""
-    table = cut_table(g, p_scaled, t, orientation)
-    return float(kernels.running_sum(0.0, table) / table.size)
-
-
-def cut_table(g, p_scaled, t, orientation):
-    """The objective of every cut, indexed by the mask with bit j set when
-    vertex j is on side A (table[mask] is cut_objective of that cut, bit
-    for bit). Its 2^V cuts are checked against the cap before any is
-    built; kernels.cut_objectives checks the activation rows of their
-    distinct crossing sets before it evaluates any."""
-    nv = g.num_vertices
-    check_enum_cap(2 ** nv, f"2^{nv} cuts")
-    cross = orientation.crossing(np.concatenate(list(kernels.subset_rows(nv))))
-    return kernels.cut_objectives(g, np.asarray(p_scaled, dtype=float),
-                                  np.asarray(t, dtype=float), cross)
-
-
-def conditional_cut(table):
-    """Mask of the cut that conditional expectations fix: vertex v goes to
-    the side whose completions (v+1.., summed in mask order) average more."""
-    nv = table.size.bit_length() - 1
-    base = 0
-    for v in range(nv):
-        rest = np.arange(1 << (nv - v - 1)) << (v + 1)
-        with_a = kernels.running_sum(0.0, table[base + (1 << v) + rest]) \
-            / rest.size
-        with_b = kernels.running_sum(0.0, table[base + rest]) / rest.size
-        if with_a >= with_b:
-            base += 1 << v
-    return base
+    """Exact expectation of the cut objective over the uniform random cut;
+    at least one eighth of sum(p_scaled * t)."""
+    return kernels.expected_cut_objective(
+        g, orientation, p_scaled, t, np.full(g.num_vertices, -1, np.int8))
 
 
 def derandomize_cut(g, p_scaled, t, orientation):
-    """Fix vertex sides one at a time by conditional expectations; the
-    resulting cut's objective is at least the random-cut expectation.
-    Returns the cut as a read-only side-A indicator per vertex."""
-    base = conditional_cut(cut_table(g, p_scaled, t, orientation))
-    in_a = (base >> np.arange(g.num_vertices)) & 1 == 1
+    """Fix vertex sides 0, 1, ... in turn by conditional expectations (side
+    A on a tie); the resulting cut's objective is at least the random-cut
+    expectation. Returns the cut as a read-only side-A indicator per
+    vertex."""
+    assign = np.full(g.num_vertices, -1, dtype=np.int8)
+    for v in range(g.num_vertices):
+        assign[v] = 1
+        with_a = kernels.expected_cut_objective(g, orientation, p_scaled, t,
+                                                assign)
+        assign[v] = 0
+        with_b = kernels.expected_cut_objective(g, orientation, p_scaled, t,
+                                                assign)
+        assign[v] = with_a >= with_b
+    in_a = assign == 1
     in_a.flags.writeable = False
     return in_a
 

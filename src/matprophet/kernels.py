@@ -7,13 +7,15 @@ encoding, one branch per kind: graphic (kind 0: num_vertices, eu, ev)
 tracks per-row component labels, a capacitated partition such as a
 uniform matroid (kind 1: block_id, caps) per-row block counts.
 
-Every Monte Carlo computation, and every exact one but the counting DP of
-uniform and partition matroids (`below_cap`), builds blocks of rows
-(outcomes, pass patterns, activation masks, cuts, polytope subsets, trials)
-and calls the primitive; every subset sweep takes its rows from
-`subset_rows`. Sums run left to right in enumeration order, so each result
-equals the one a plain loop over the rows gives, bit for bit.
+Every Monte Carlo computation, and every exact one but two DPs (the
+counting `below_cap`, the cut quantities' `expected_cut_objective`), builds
+blocks of rows (outcomes, pass patterns, activation masks, cuts, polytope
+subsets, trials) and calls the primitive; every subset sweep takes its rows
+from `subset_rows`. Sums run left to right in enumeration order, so each
+result equals the one a plain loop over the rows gives, bit for bit.
 """
+
+import itertools
 
 import numpy as np
 
@@ -211,14 +213,14 @@ def subset_rows(k, step=ENUM_BLOCK):
         yield ((mask[:, None] >> np.arange(k)) & 1).astype(bool)
 
 
-def _patterns(q, step=ENUM_BLOCK):
-    """Activation patterns in mask order, in blocks of `step`: bit j of the
-    mask activates item j, active with probability q[..., j]. Yields
-    (bits (B, m), pattern probabilities (..., B))."""
-    for bits in subset_rows(q.shape[-1], step):
-        prob = np.ones(q.shape[:-1] + bits.shape[:1])
-        for j in range(bits.shape[1]):
-            prob *= np.where(bits[:, j], q[..., j, None], 1.0 - q[..., j, None])
+def _patterns(q):
+    """Activation patterns in mask order, ENUM_BLOCK at a time: bit j of the
+    mask activates item j, active with probability q[j]. Yields (bits
+    (B, m), pattern probabilities (B,))."""
+    for bits in subset_rows(q.size):
+        prob = np.ones(len(bits))
+        for j in range(q.size):
+            prob *= np.where(bits[:, j], q[j], 1.0 - q[j])
         yield bits, prob
 
 
@@ -239,46 +241,20 @@ def rule_value_exact(m, cons, pass_probs, cond_values):
     return float(total)
 
 
-def _spanned(m, targets, others, probs):
-    """Per row a: probability that an independent activation of the items
-    others[a] (item e active with probability probs[e]) spans targets[a].
-
-    Every (target, pattern) pair is one greedy row that scans the active
-    items and then the target; the target is spanned when it is refused.
-    """
-    k = len(targets)
-    order = np.concatenate((others, targets[:, None]), axis=1)
-    out = np.zeros(k)
-    for bits, prob in _patterns(probs[others], max(1, ENUM_BLOCK // k)):
-        take = np.zeros((k, len(bits), probs.size), dtype=bool)
-        for a in range(k):
-            take[a][:, others[a]] = bits
-            take[a][:, targets[a]] = True
-        _, acc = batched_greedy(m, np.repeat(order, len(bits), axis=0),
-                                take.reshape(-1, probs.size), 0.0)
-        refused = ~acc.reshape(take.shape)[np.arange(k), :, targets]
-        out = running_sum(out, np.where(refused, prob, 0.0))
-    return out
-
-
 def connect_probability(m, members, probs, target):
     """Probability that an independent activation of `members` (item e
     active with probability probs[e]) spans item `target`, which is not
-    among them."""
+    among them: each activation pattern is one greedy row that scans the
+    active members and then the target, which is spanned when refused."""
     members = np.asarray(members, dtype=np.int64)
-    return float(_spanned(m, np.array([target]), members[None], probs)[0])
-
-
-def _crossing_objective(g, p, t, cross):
-    """sum over the crossing edges `cross` of p*t*(1 - blocking probability
-    within the crossing set); each (edge, activation pattern) pair is one
-    greedy row, up to ENUM_BLOCK rows per call."""
-    k = cross.size
-    if not k:
-        return 0.0
-    others = np.broadcast_to(cross, (k, k))[~np.eye(k, dtype=bool)]
-    b = _spanned(g, cross, others.reshape(k, k - 1), p)
-    return running_sum(0.0, p[cross] * t[cross] * (1.0 - b))
+    out = 0.0
+    for bits, prob in _patterns(probs[members]):
+        take = np.zeros((len(bits), probs.size), dtype=bool)
+        take[:, members] = bits
+        take[:, target] = True
+        _, acc = batched_greedy(m, np.append(members, target), take, 0.0)
+        out = running_sum(out, np.where(acc[:, target], 0.0, prob))
+    return float(out)
 
 
 def distinct_rows(rows):
@@ -293,33 +269,80 @@ def distinct_rows(rows):
     return keys.view(bool).reshape(len(keys), -1)[:, 1:], inverse
 
 
-def cut_objectives(g, p, t, cross):
-    """The cut objective of every row of cross, a stack of crossing masks
-    (`Orientation.crossing` of a stack of cuts).
+def _cut_steps(orientation):
+    """The cut DP's plan: per step, the next vertex (most placed neighbours,
+    ties to the lower index), the (tail, head, edge) frontier positions of
+    its edges to placed vertices, and the positions that then leave, last
+    first; and the cap count, the sum over steps of 2^w Bell(w), width w."""
+    nv = orientation.num_vertices
+    ends = list(zip(orientation.tails.tolist(), orientation.heads.tolist()))
+    nbrs = [{u + w - x for u, w in ends if x in (u, w)} for x in range(nv)]
+    placed, frontier, steps, size = set(), [], [], 0
+    bell, row = [1], [1]  # the Bell triangle: row k starts with Bell(k)
+    for _ in range(nv):
+        v = max(sorted(set(range(nv)) - placed),
+                key=lambda x: len(nbrs[x] & placed))
+        frontier.append(v)
+        joins = [(frontier.index(a), frontier.index(b), f)
+                 for f, (a, b) in enumerate(ends)
+                 if v in (a, b) and a + b - v in placed]
+        placed.add(v)
+        row = list(itertools.accumulate(row, initial=row[-1]))
+        bell.append(row[0])
+        size += 2 ** len(frontier) * bell[len(frontier)]
+        steps.append((v, joins, [i for i, x in enumerate(frontier)
+                                 if nbrs[x] <= placed][::-1]))
+        frontier = [x for x in frontier if not nbrs[x] <= placed]
+    return steps, size
 
-    A cut's objective depends only on its crossing set, so each distinct
-    row is evaluated once and its value shared by every row equal to it;
-    first their activation rows, k per pattern of the other k - 1 edges of
-    a k-edge set, are checked against the cap.
-    """
-    sets, inverse = distinct_rows(cross)
-    rows = sum(k << (k - 1) for k in sets.sum(axis=1).tolist() if k)
-    check_enum_cap(rows, f"{rows} activation rows")
-    values = np.array([_crossing_objective(g, p, t, np.flatnonzero(row))
-                       for row in sets])
-    return values[inverse]
+
+def _branch(states, moves):
+    """One DP step: state (probability a, derivative d) moves to each (codes,
+    b, e) of moves(key) with weight (b, e), labels renumbered by first use."""
+    out = {}
+    for key, (a, d) in states.items():
+        for codes, b, e in moves(key):
+            first = {}
+            new = tuple(2 * first.setdefault(c >> 1, len(first)) + (c & 1)
+                        for c in codes)
+            old = out.get(new, (0.0, 0.0))
+            out[new] = (old[0] + a * b, old[1] + d * b + a * e)
+    return out
 
 
 def expected_cut_objective(g, orientation, p, t, assign):
     """Average cut objective over uniform completions of a partial side
-    assignment (per vertex: 1 side A, 0 side B, -1 undecided).
+    assignment (per vertex: 1 side A, 0 side B, -1 undecided): the sum over
+    edges e of p_e t_e Pr[e crosses from A to B and no path of other present
+    edges joins its ends], edge f present when it crosses and a coin of
+    probability p_f lands. That is minus the derivative of E[#components of
+    the present edges] along w = p*t, so one frontier DP carries a dual
+    number (probability, derivative) per state: a crossing edge f joining two
+    components branches into "merge" (p_f, w_f) and "no merge" (1 - p_f,
+    -w_f), and a component closing when its last frontier vertex leaves adds
+    its state's derivative. A state is one code per frontier vertex,
+    2 * component label + side (1 for A)."""
+    steps, size = _cut_steps(orientation)
+    check_enum_cap(size, f"{size} cut states")
+    p = np.asarray(p, dtype=float)
+    q, w = p.tolist(), (p * np.asarray(t, dtype=float)).tolist()
+    states, slope = {(): (1.0, 0.0)}, 0.0
+    for v, joins, leave in steps:
+        sides = (1, 0) if assign[v] < 0 else (int(assign[v]),)
+        states = _branch(states, lambda key: [
+            (key + (2 * len(key) + s,), 1.0 / len(sides), 0.0) for s in sides])
+        for i, j, f in joins:
 
-    The completions come from subset_rows (bit j puts the j-th undecided
-    vertex on side A); their objectives are summed in that order.
-    """
-    free = np.flatnonzero(assign < 0)
-    in_a = np.repeat((assign == 1)[None], 1 << free.size, axis=0)
-    in_a[:, free] = np.concatenate(list(subset_rows(free.size)))
-    return running_sum(0.0, cut_objectives(g, p, t,
-                                           orientation.crossing(in_a))) \
-        / (1 << free.size)
+            def join(key):
+                li, lj = key[i] >> 1, key[j] >> 1
+                if not key[i] & 1 or key[j] & 1 or li == lj:
+                    return [(key, 1.0, 0.0)]
+                merged = [c & 1 | lj << 1 if c >> 1 == li else c for c in key]
+                return [(merged, q[f], w[f]), (key, 1.0 - q[f], -w[f])]
+            states = _branch(states, join)
+        for i in leave:
+            slope += sum(d for key, (_, d) in states.items()
+                         if [c >> 1 for c in key].count(key[i] >> 1) == 1)
+            states = _branch(states, lambda key: [(key[:i] + key[i + 1:],
+                                                   1.0, 0.0)])
+    return 0.0 - slope

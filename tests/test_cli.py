@@ -2,13 +2,15 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
 from matprophet import (GraphicMatroid, PartitionMatroid, ProphetInstance,
-                        UniformMatroid, bernoulli_to_dict, load_instance,
-                        parse_instance, save_instance)
+                        UniformMatroid, bernoulli_to_dict, cut_bound_exact,
+                        cut_objective, load_instance, parse_instance,
+                        save_instance)
 from matprophet import generate, kernels
 from matprophet.cli import CSV_HEADER, _fmt, main, make_algorithm
 from matprophet.distributions import DiscreteDistribution
@@ -454,35 +456,38 @@ def test_baseline_family_is_checked_before_the_reduction(tmp_path, capsys,
 def test_derandomized_cut_is_refused_past_the_cap(tmp_path, capsys,
                                                   monkeypatch):
     # a Monte Carlo reduction enumerates nothing, but the conditional
-    # expectations still need every one of the 2^21 cuts
+    # expectations' frontier DP is counted before any state is built
     monkeypatch.delenv("MATPROPHET_ENUM_CAP", raising=False)
     inst_path = tmp_path / "g.json"
-    run_cli("gen", "--family", "graphic", "--vertices", 21, "--edges", 21,
-            "--seed", 3, "--out", inst_path)
+    run_cli("gen", "--family", "graphic", "--vertices", 30, "--edges", 60,
+            "--allow-parallel", "--seed", 1, "--out", inst_path)
     capsys.readouterr()
     assert run_cli("run", "--instance", inst_path, "--algo",
                    "graphic-derandomized", "--mode", "mc", "--trials", 1000,
                    "--out", tmp_path / "o") == 2
-    assert "2^21 cuts exceed the enumeration cap" in capsys.readouterr().err
+    assert re.search(r"^error: \d+ cut states exceed the enumeration cap "
+                     r"1048576$", capsys.readouterr().err, re.M)
+    assert not (tmp_path / "o.summary.json").exists()
 
 
-def test_derandomized_cut_counts_its_activation_rows_first(tmp_path, capsys,
-                                                         monkeypatch):
-    # the 2^14 cuts fit under the cap, but evaluating their distinct
-    # crossing sets takes over 10^7 greedy rows (minutes); the count is
-    # made before any of them runs
+def test_derandomized_cut_runs_at_the_bench_size(tmp_path, monkeypatch):
     monkeypatch.delenv("MATPROPHET_ENUM_CAP", raising=False)
     inst_path = tmp_path / "g.json"
     run_cli("gen", "--family", "graphic", "--vertices", 14, "--edges", 28,
             "--allow-parallel", "--support-size", 3, "--seed", 1000,
             "--out", inst_path)
-    capsys.readouterr()
     assert run_cli("run", "--instance", inst_path, "--algo",
                    "graphic-derandomized", "--mode", "mc", "--trials", 2000,
-                   "--out", tmp_path / "o") == 2
-    assert "error: 134544124 activation rows exceed the enumeration cap " \
-        "1048576" in capsys.readouterr().err
-    assert not (tmp_path / "o.summary.json").exists()
+                   "--out", tmp_path / "o") == 0
+    side_a = json.loads((tmp_path / "o.summary.json").read_text())[
+        "cut_side_a"]
+    inst = load_instance(inst_path).instance
+    red, algo = make_algorithm(inst, "graphic-random-cut", mode="mc",
+                               trials=2000)
+    g, p4, o = inst.matroid, algo.p_scaled, algo.orientation
+    in_a = np.isin(np.arange(g.num_vertices), side_a)
+    assert cut_objective(g, p4, red.t, o, in_a) >= \
+        cut_bound_exact(g, p4, red.t, o)
 
 
 def test_run_rejects_a_level_outside_zero_one(tmp_path, capsys,

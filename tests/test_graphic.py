@@ -1,6 +1,7 @@
 """Orientation, cuts, blocking probabilities, and the cut lower bound."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from matprophet import (FixedRuleAlgorithm, GraphicMatroid, Orientation, blockin
 from matprophet import engine, kernels
 from matprophet.generate import random_graph, random_graphic_instance
 from matprophet.graphic import (QUALIFY_TOL, GraphicDerandomizedCut,
-                                GraphicRandomCut, conditional_cut, cut_table)
+                                GraphicRandomCut)
 from matprophet.matroids import scale
-from oracles import is_independent
+from oracles import is_independent, rank
 
 
 def test_orientation_path():
@@ -202,33 +203,67 @@ def test_derandomized_cut_beats_average():
         assert cut_objective(g, p4, red.t, o, cut) >= bound - 1e-9
 
 
-def per_cut_expected_objective(g, heads, p, t, assign):
+def crossing_value(g, cross, p, t):
+    """A crossing set's objective, one connect_probability per edge."""
+    return kernels.running_sum(0.0, np.array([
+        p[e] * t[e] * (1.0 - kernels.connect_probability(
+            g, np.delete(cross, a), p, e)) for a, e in enumerate(cross)]))
+
+
+def exact_crossing_value(g, cross, p, t):
+    """crossing_value in fractions.Fraction over the float inputs: each
+    activation pattern of the other crossing edges spans e when adding e
+    keeps the rank."""
+    total = Fraction(0)
+    for e in cross.tolist():
+        others = [f for f in cross.tolist() if f != e]
+        spanned = Fraction(0)
+        for bits in itertools.product((False, True), repeat=len(others)):
+            prob = Fraction(1)
+            for f, hit in zip(others, bits):
+                prob *= Fraction(p[f]) if hit else 1 - Fraction(p[f])
+            active = [f for f, hit in zip(others, bits) if hit]
+            if rank(g, active + [e]) == rank(g, active):
+                spanned += prob
+        total += Fraction(p[e]) * Fraction(t[e]) * (1 - spanned)
+    return total
+
+
+def per_cut_expected_objective(g, heads, p, t, assign, value=crossing_value):
     """Reference: the cut objective averaged over the completions of a
-    partial assignment, one cut at a time, skipping empty crossing sets."""
+    partial assignment, one cut at a time, skipping empty crossing sets;
+    `value` gives a crossing set's objective."""
     tails = np.where(heads == g.ev, g.eu, g.ev)
     free = np.flatnonzero(assign < 0)
-    total = 0.0
+    total = 0  # a float or a Fraction, as `value` gives
     for bits in kernels.subset_rows(free.size):
         in_a = np.repeat((assign == 1)[None], len(bits), axis=0)
         in_a[:, free] = bits
         for cross in map(np.flatnonzero, in_a[:, tails] & ~in_a[:, heads]):
-            k = cross.size
-            if k:
-                others = np.broadcast_to(cross, (k, k))[~np.eye(k, dtype=bool)]
-                b = kernels._spanned(g, cross, others.reshape(k, k - 1), p)
-                total += kernels.running_sum(0.0,
-                                             p[cross] * t[cross] * (1.0 - b))
+            if cross.size:
+                total += value(g, cross, p, t)
     return total / (1 << free.size)
 
 
 def per_vertex_derandomized_cut(g, p, t, orientation):
-    """Reference: conditional expectations recomputed for every vertex."""
+    """Reference: conditional expectations recomputed for every vertex, in
+    exact arithmetic, so a tie goes to side A as the rule says."""
+    cache = {}
+
+    def value(g, cross, p, t):
+        key = tuple(cross.tolist())
+        if key not in cache:
+            cache[key] = exact_crossing_value(g, cross, p, t)
+        return cache[key]
+
     assign = np.full(g.num_vertices, -1, dtype=np.int8)
     for v in range(g.num_vertices):
         assign[v] = 1
-        with_a = per_cut_expected_objective(g, orientation.heads, p, t, assign)
+        with_a = per_cut_expected_objective(g, orientation.heads, p, t,
+                                            assign, value)
         assign[v] = 0
-        with_b = per_cut_expected_objective(g, orientation.heads, p, t, assign)
+        with_b = per_cut_expected_objective(g, orientation.heads, p, t,
+                                            assign, value)
         assign[v] = 1 if with_a >= with_b else 0
     return assign == 1
 
@@ -255,26 +290,25 @@ def cut_cases():
             yield g, o, rng.uniform(0.0, 0.5, g.n), rng.uniform(0, 10, g.n)
 
 
-def test_crossing_set_reuse_is_bit_identical():
+def oracle_approx(want):
+    """The cut DP regroups the oracle's sums: equal to 1e-12 relative, and
+    exactly 0 where the oracle is 0."""
+    return want if want == 0 else pytest.approx(want, rel=1e-12)
+
+
+def test_cut_dp_matches_the_per_cut_oracles():
     for g, o, p, t in cut_cases():
         nv = g.num_vertices
         undecided = np.full(nv, -1, dtype=np.int8)
-        assert cut_bound_exact(g, p, t, o) == \
-            per_cut_expected_objective(g, o.heads, p, t, undecided)
+        assert cut_bound_exact(g, p, t, o) == oracle_approx(
+            per_cut_expected_objective(g, o.heads, p, t, undecided))
         for bits in itertools.product((0, 1), repeat=nv):
             assign = np.array(bits, dtype=np.int8)
-            assert cut_objective(g, p, t, o, assign == 1) == \
-                per_cut_expected_objective(g, o.heads, p, t, assign)
+            assert cut_objective(g, p, t, o, assign == 1) == oracle_approx(
+                per_cut_expected_objective(g, o.heads, p, t, assign))
         cut = derandomize_cut(g, p, t, o)
         assert not cut.flags.writeable
         assert cut.tolist() == per_vertex_derandomized_cut(g, p, t, o).tolist()
-        # verify reads all three from one table of the 2^V cuts
-        table = cut_table(g, p, t, o)
-        assert kernels.running_sum(0.0, table) / table.size == \
-            cut_bound_exact(g, p, t, o)
-        mask = conditional_cut(table)
-        assert mask == sum(1 << v for v in np.flatnonzero(cut).tolist())
-        assert table[mask] == cut_objective(g, p, t, o, cut)
 
 
 def test_rule_for_cut_opens_only_crossing_edges():

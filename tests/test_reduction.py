@@ -19,7 +19,6 @@ from matprophet.errors import EnumerationCapError
 from matprophet.generate import (random_graph, random_graphic_instance,
                                  random_partition_instance,
                                  random_uniform_instance)
-from matprophet.graphic import cut_table
 from matprophet.matroids import Matroid
 from matprophet.reduction import sample_value_matrix, values_from_uniform
 
@@ -279,47 +278,18 @@ def test_every_exact_enumeration_checks_one_cap(monkeypatch):
                                      [0, 1, 2]), "2\\^3 pass patterns"),
         (lambda: blocking_probability(g, np.full(3, 0.5), [0, 1, 2], 2),
          "2\\^2 activation patterns"),
+        # the triangle's frontier widths are 1, 2, 3: 2*1 + 4*2 + 8*5 states
         (lambda: cut_bound_exact(g, np.full(3, 0.125), np.ones(3),
-                                 orientation), "2\\^3 cuts"),
+                                 orientation), "50 cut states"),
         (lambda: expected_value_exact(inst, algo), "2\\^3 coin patterns"),
         (lambda: derandomize_cut(g, np.full(3, 0.125), np.ones(3),
-                                 orientation), "2\\^3 cuts"),
-        # vertex 2 alone on side A: edges 1 and 2 cross, 2 * 2^1 rows
+                                 orientation), "50 cut states"),
         (lambda: cut_objective(g, np.full(3, 0.125), np.ones(3), orientation,
                                np.array([False, False, True])),
-         "4 activation rows"),
+         "50 cut states"),
         (lambda: g.polytope_slack(np.full(3, 0.5)), "2\\^3 polytope subsets"),
     ]
     for call, what in sites:
         with pytest.raises(EnumerationCapError,
                            match=f"^{what} exceed the enumeration cap 2$"):
             call()
-    # the 2^3 cuts fit under 8; their distinct crossing sets {0}, {1},
-    # {0, 2} and {1, 2} need 1 + 1 + 4 + 4 activation rows
-    monkeypatch.setenv("MATPROPHET_ENUM_CAP", "8")
-    for call in (lambda: cut_bound_exact(g, np.full(3, 0.125), np.ones(3),
-                                         orientation),
-                 lambda: derandomize_cut(g, np.full(3, 0.125), np.ones(3),
-                                         orientation)):
-        with pytest.raises(EnumerationCapError,
-                           match="^10 activation rows exceed the enumeration "
-                                 "cap 8$"):
-            call()
-
-
-def test_cut_table_finds_its_distinct_sets_once(monkeypatch):
-    g = GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
-    p_scaled = np.full(g.n, 0.1)
-    orientation = orient_low_indegree(g, p_scaled)
-    want = cut_table(g, p_scaled, np.ones(g.n), orientation)
-    calls = []
-    distinct_rows = kernels.distinct_rows
-
-    def counted(rows):
-        calls.append(1)
-        return distinct_rows(rows)
-
-    monkeypatch.setattr(kernels, "distinct_rows", counted)
-    got = cut_table(g, p_scaled, np.ones(g.n), orientation)
-    assert calls == [1]
-    assert np.array_equal(got, want)
