@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import kernels
 from .engine import FixedRuleAlgorithm, ThresholdRule
@@ -72,6 +71,9 @@ def kuniform_probabilistic_threshold(inst, k=None):
                 return UniformThreshold(v, 0.0, k, "probabilistic")
             if open_ == HALF:
                 return UniformThreshold(v, 1.0, k, "probabilistic")
+            # imported here so that a command that builds no uniform or
+            # partition baseline never loads scipy
+            from scipy.optimize import brentq
             q = brentq(lambda q: kernels.below_cap(above + q * at, k) - HALF,
                        0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
             return UniformThreshold(v, float(q), k, "probabilistic")

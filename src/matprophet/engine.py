@@ -11,9 +11,9 @@ so each accepted item contributes its conditional value given a pass.
 import math
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from . import kernels
 from .errors import check_enum_cap
@@ -191,6 +191,20 @@ def expected_value_exact(inst, algo, order="worst_case"):
     return float(kernels.running_sum(0.0, 0.5 ** k * values[inverse]))
 
 
+def _two_sided_z(level):
+    """The normal quantile at 1/2 + level/2, the z of a two-sided interval.
+    NormalDist's inv_cdf alone is 3 ulp off scipy's ndtri at level 0.9; one
+    Newton step on the upper tail, where erfc keeps its relative precision,
+    brings levels 0.9, 0.95 and 0.99 within 1 ulp of it."""
+    p = 0.5 + level / 2.0
+    if p == 1.0:  # the largest level below 1 rounds up to here
+        return math.inf
+    normal = NormalDist()
+    z = normal.inv_cdf(p)
+    return z + (0.5 * math.erfc(z / math.sqrt(2.0)) - (1.0 - p)) \
+        / normal.pdf(z)
+
+
 def _ratio_summary(alg_vals, pro_vals, level, trials):
     mean_alg = float(alg_vals.mean())
     mean_pro = float(pro_vals.mean())
@@ -203,8 +217,7 @@ def _ratio_summary(alg_vals, pro_vals, level, trials):
         cov = float(np.cov(alg_vals, pro_vals, ddof=1)[0, 1])
         var_r = (var_a - 2.0 * ratio * cov + ratio * ratio * var_p) \
             / (trials * mean_pro * mean_pro)
-        z = norm.ppf(0.5 + level / 2.0)
-        half = float(z * math.sqrt(max(var_r, 0.0)))
+        half = float(_two_sided_z(level) * math.sqrt(max(var_r, 0.0)))
     low = trials < LOW_SAMPLE_FLOOR
     if low:
         warnings.warn(f"only {trials} trials; confidence interval is crude",

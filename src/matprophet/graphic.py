@@ -116,6 +116,9 @@ def derandomize_cut(g, p_scaled, t, orientation):
     A on a tie); the resulting cut's objective is at least the random-cut
     expectation. Returns the cut as a read-only side-A indicator per
     vertex."""
+    # its 2V DP runs are counted together, before the first
+    total = 2 * g.num_vertices * kernels._cut_steps(orientation)[1]
+    check_enum_cap(total, f"{total} cut states")
     assign = np.full(g.num_vertices, -1, dtype=np.int8)
     for v in range(g.num_vertices):
         assign[v] = 1

@@ -5,8 +5,11 @@ import argparse
 import ast
 import importlib
 import inspect
+import json
+import os
 import re
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -51,6 +54,49 @@ def test_imports_stay_within_numpy_and_scipy():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name}: {name}"
+
+
+# runs in a fresh interpreter: the scipy modules loaded after importing
+# the CLI and after each command in argv (a JSON list), as a JSON object
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+from matprophet.cli import main
+loaded = {"import matprophet.cli": scipy_modules()}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    loaded[" ".join(argv)] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_graphic_commands_never_load_scipy(tmp_path):
+    # scipy is imported only inside the function that uses it, so starting
+    # the CLI and every graphic command cost numpy's import, not scipy's
+    g = ["--instance", "suite/g.json"]
+    run = ["run", *g, "--algo", "graphic-random-cut", "--trials", "2000"]
+    commands = [
+        ["gen", "--family", "graphic", "--vertices", "5", "--edges", "7",
+         "--allow-parallel", "--seed", "1", "--out", "suite/g.json"],
+        [*run, "--mode", "exact", "--out", "out/exact"],
+        [*run, "--mode", "mc", "--order", "worst-case", "--out", "out/worst"],
+        [*run, "--mode", "mc", "--order", "random", "--out", "out/random"],
+        ["run", *g, "--algo", "graphic-derandomized", "--out", "out/derand"],
+        ["reduce", *g, "--out", "out/reduce.json"],
+        ["orient", *g, "--out", "out/orient.json"],
+        ["verify", "--suite", "suite"],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE,
+                           json.dumps(commands)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert len(loaded) == 1 + len(commands)
+    assert loaded == {step: [] for step in loaded}
 
 
 def test_every_module_import_is_used():

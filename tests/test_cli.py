@@ -7,9 +7,10 @@ import re
 import numpy as np
 import pytest
 
-from matprophet import (GraphicMatroid, PartitionMatroid, ProphetInstance,
-                        UniformMatroid, bernoulli_to_dict, cut_bound_exact,
-                        cut_objective, load_instance, parse_instance,
+from matprophet import (EnumerationCapError, GraphicMatroid, Orientation,
+                        PartitionMatroid, ProphetInstance, UniformMatroid,
+                        bernoulli_to_dict, cut_bound_exact, cut_objective,
+                        derandomize_cut, load_instance, parse_instance,
                         save_instance)
 from matprophet import generate, kernels
 from matprophet.cli import CSV_HEADER, _fmt, main, make_algorithm
@@ -488,6 +489,36 @@ def test_derandomized_cut_runs_at_the_bench_size(tmp_path, monkeypatch):
     in_a = np.isin(np.arange(g.num_vertices), side_a)
     assert cut_objective(g, p4, red.t, o, in_a) >= \
         cut_bound_exact(g, p4, red.t, o)
+
+
+def test_derandomized_cut_counts_its_runs_together(tmp_path, capsys,
+                                                   monkeypatch):
+    # a cap that admits one DP run (its vertex order and widths follow the
+    # undirected graph) but not the 2V runs refuses before the first
+    inst_path = tmp_path / "g.json"
+    run_cli("gen", "--family", "graphic", "--vertices", 6, "--edges", 9,
+            "--allow-parallel", "--seed", 3, "--out", inst_path)
+    capsys.readouterr()
+    g = load_instance(inst_path).instance.matroid
+    orientation = Orientation(g.num_vertices, g.eu, g.ev, g.ev)
+    one = kernels._cut_steps(orientation)[1]
+    total = 2 * g.num_vertices * one
+    runs = []
+    dp = kernels.expected_cut_objective
+    monkeypatch.setattr(kernels, "expected_cut_objective",
+                        lambda *args: runs.append(1) or dp(*args))
+    monkeypatch.setenv("MATPROPHET_ENUM_CAP", str(one))
+    with pytest.raises(EnumerationCapError,
+                       match=f"^{total} cut states exceed the enumeration "
+                             f"cap {one}$"):
+        derandomize_cut(g, np.full(g.n, 0.1), np.ones(g.n), orientation)
+    assert run_cli("run", "--instance", inst_path, "--algo",
+                   "graphic-derandomized", "--mode", "mc", "--trials", 1000,
+                   "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == \
+        f"error: {total} cut states exceed the enumeration cap {one}\n"
+    assert runs == []
+    assert not (tmp_path / "o.summary.json").exists()
 
 
 def test_run_rejects_a_level_outside_zero_one(tmp_path, capsys,

@@ -1,9 +1,11 @@
 """Online execution, exact expectations and Monte Carlo estimation."""
 
+import math
+
 import numpy as np
 import pytest
 
-from matprophet import kernels
+from matprophet import engine, kernels
 from matprophet import (FixedRuleAlgorithm, GraphicMatroid, GraphicRandomCut,
                         ProphetInstance, ThresholdRule, UniformMatroid,
                         as_permutation, ex_ante_reduce, execute_online,
@@ -145,6 +147,30 @@ def test_mc_interval_covers_the_exact_ratio():
                                     level=0.99)
             misses += abs(res.ratio - exact) > res.ci_half_width
     assert misses <= 19
+
+
+def test_confidence_quantile_matches_scipy():
+    # scipy.stats.norm.ppf(0.5 + level / 2), written in so that no test
+    # imports scipy
+    for level, want in ((0.9, 1.6448536269514722),
+                        (0.95, 1.959963984540054),
+                        (0.99, 2.5758293035489004)):
+        assert abs(engine._two_sided_z(level) - want) <= 2 * math.ulp(want)
+    # the largest level below 1 rounds 1/2 + level/2 up to 1
+    assert engine._two_sided_z(math.nextafter(1.0, 0.0)) == math.inf
+
+
+def test_ci_half_width_is_z_times_the_ratio_deviation():
+    # dyadic pairs: means 3 and 4, ratio 3/4, sample variances 2 and 4,
+    # covariance 2, so var_r = (2 - 2*(3/4)*2 + (3/4)^2*4) / (5 * 4^2)
+    # = 1/64 and every step is exact
+    alg = np.array([1.0, 3.0, 3.0, 3.0, 5.0])
+    pro = np.array([2.0, 2.0, 4.0, 6.0, 6.0])
+    for level in (0.9, 0.95, 0.99):
+        with pytest.warns(UserWarning, match="only 5 trials"):
+            got = engine._ratio_summary(alg, pro, level, 5)
+        assert got.ratio == 0.75
+        assert got.ci_half_width == engine._two_sided_z(level) * 0.125
 
 
 def test_worst_case_mc_needs_no_reduction():

@@ -282,8 +282,9 @@ def test_every_exact_enumeration_checks_one_cap(monkeypatch):
         (lambda: cut_bound_exact(g, np.full(3, 0.125), np.ones(3),
                                  orientation), "50 cut states"),
         (lambda: expected_value_exact(inst, algo), "2\\^3 coin patterns"),
+        # its 2V = 6 runs, counted together
         (lambda: derandomize_cut(g, np.full(3, 0.125), np.ones(3),
-                                 orientation), "50 cut states"),
+                                 orientation), "300 cut states"),
         (lambda: cut_objective(g, np.full(3, 0.125), np.ones(3), orientation,
                                np.array([False, False, True])),
          "50 cut states"),
