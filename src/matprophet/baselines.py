@@ -71,13 +71,55 @@ def kuniform_probabilistic_threshold(inst, k=None):
                 return UniformThreshold(v, 0.0, k, "probabilistic")
             if open_ == HALF:
                 return UniformThreshold(v, 1.0, k, "probabilistic")
-            # imported here so that a command that builds no uniform or
-            # partition baseline never loads scipy
-            from scipy.optimize import brentq
-            q = brentq(lambda q: kernels.below_cap(above + q * at, k) - HALF,
-                       0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+            q = _brentq(lambda q: kernels.below_cap(above + q * at, k) - HALF,
+                        0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
             return UniformThreshold(v, float(q), k, "probabilistic")
     raise AssertionError("threshold sweep failed to bracket 1/2")
+
+
+def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
+    """A root of f between xa and xb, where f changes sign, by Brent's
+    method (Brent 1973, ch. 4) step for step as scipy.optimize.brentq
+    takes it: the same iterates, so the same float, without loading scipy.
+    It stops when f hits 0 or the bracket is under xtol + rtol * |x|."""
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f must have different signs at the bracket ends")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} steps")
 
 
 def samuel_cahn_threshold(inst):

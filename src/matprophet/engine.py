@@ -278,7 +278,7 @@ def monte_carlo_ratio(inst, algo, trials, seed=0, order="worst_case",
             consider = algo.consider_matrix(rng, batch)
         a, acc = kernels.mc_online_graphic(inst.matroid, perm, algo.rule,
                                            values, coins, consider)
-        p, _ = kernels.mc_max_weight(inst.matroid, values)
+        p, _ = kernels.mc_max_weight(inst, values)
         alg_vals[done:done + batch] = a
         pro_vals[done:done + batch] = p
         if accepted is not None:

@@ -7,12 +7,16 @@ encoding, one branch per kind: graphic (kind 0: num_vertices, eu, ev)
 tracks per-row component labels, a capacitated partition such as a
 uniform matroid (kind 1: block_id, caps) per-row block counts.
 
-Every Monte Carlo computation, and every exact one but two DPs (the
-counting `below_cap`, the cut quantities' `expected_cut_objective`), builds
-blocks of rows (outcomes, pass patterns, activation masks, cuts, polytope
-subsets, trials) and calls the primitive; every subset sweep takes its rows
-from `subset_rows`. Sums run left to right in enumeration order, so each
-result equals the one a plain loop over the rows gives, bit for bit.
+Every exact computation but two DPs (the counting `below_cap`, the cut
+quantities' `expected_cut_objective`) builds blocks of rows (outcomes,
+pass patterns, activation masks, cuts, polytope subsets) and calls the
+primitive; every subset sweep takes its rows from `subset_rows`. The
+Monte Carlo passes whose rows share one scan order (the prophet's
+max-weight pass on small supports, online trials in a fixed order) run
+`_sweep_greedy` instead, which touches only the rows that accept at each
+step; random-order trials and large supports keep the per-row primitive.
+Sums run left to right in enumeration or acceptance order, so each result
+equals the one a plain loop over the rows gives, bit for bit.
 """
 
 import itertools
@@ -28,6 +32,12 @@ KIND_PARTITION = 1
 BLOCK = 1 << 14
 # rows per enumeration block, small enough to keep temporaries near 1 MB
 ENUM_BLOCK = 1 << 12
+# mc_max_weight sweeps support points while there are at most
+# _SWEEP_POINTS positive ones per item on average, an allowance that shrinks
+# in proportion below _SWEEP_ROWS rows, where each step's fixed cost weighs
+# more; past it the per-row greedy is faster
+_SWEEP_POINTS = 4
+_SWEEP_ROWS = 1 << 11
 
 
 def running_sum(start, terms):
@@ -79,6 +89,44 @@ def batched_greedy(m, order, take, values):
     return totals, accepted
 
 
+def _sweep_greedy(m, steps, values):
+    """Greedy over one scan order shared by every row, in which an item may
+    appear more than once. steps yields (item e, indices of the rows that
+    take e at this step, ascending); values is (rows, n). Only the rows that
+    accept e are relabelled or counted, so a step costs its own rows, not
+    all of them. A row's total adds its accepted values in scan order;
+    returns (totals, accepted) as batched_greedy does."""
+    rows, n = values.shape
+    totals = np.zeros(rows)
+    accepted = np.zeros((rows, n), dtype=bool)
+    kind, num_vertices, eu, ev, block_id, caps = m.kernel_args()
+    if kind == KIND_GRAPHIC:
+        label = np.empty((rows, num_vertices), np.min_scalar_type(num_vertices))
+        label[:] = np.arange(num_vertices)
+    else:
+        used = np.zeros((caps.size, rows), np.int64)
+    for e, hit in steps:
+        if kind == KIND_GRAPHIC:
+            lu = label[hit, eu[e]]
+            lv = label[hit, ev[e]]
+            ok = lu != lv
+            hit = hit[ok]
+            lu, lv = lu[ok], lv[ok]
+            # merge: relabel the component of u to v's label, in the
+            # accepting rows only; labels are unsigned, so adding lv - lu
+            # modulo the dtype's range lands exactly on lv
+            sub = label.take(hit, axis=0)
+            sub += (sub == lu[:, None]) * (lv - lu)[:, None]
+            label[hit] = sub
+        else:
+            b = block_id[e]
+            hit = hit[used[b, hit] < caps[b]]
+            used[b, hit] += 1
+        accepted[hit, e] = True
+        totals[hit] += values[hit, e]
+    return totals, accepted
+
+
 def _weight_order(values):
     """Per-row scan order of a max-weight selection: decreasing weight,
     ties toward the lower index; a narrow dtype, sorted in slices to keep
@@ -90,24 +138,74 @@ def _weight_order(values):
     return order
 
 
-def mc_max_weight(m, values):
-    """Max-weight selection per realization row (greedy by decreasing
-    weight, ties toward the lower index, zero weights left out). Returns
-    (totals, accepted)."""
+def _max_weight_rows(m, values):
+    """Max-weight selection per row of arbitrary weights, each row scanning
+    its own order (greedy by decreasing weight, ties toward the lower index,
+    zero weights left out). Returns (totals, accepted)."""
     return batched_greedy(m, _weight_order(values), values > 0.0, values)
+
+
+def _positive_support(inst):
+    """(items, values) of the instance's positive support points, by value
+    descending, ties toward the lower item index: restricted to one
+    realization row, this is that row's own max-weight scan order."""
+    items = np.repeat(np.arange(inst.n), [d.size for d in inst.dists])
+    points = np.concatenate([d.values for d in inst.dists] + [np.zeros(0)])
+    keep = points > 0.0
+    items, points = items[keep], points[keep]
+    at = np.lexsort((items, -points))
+    return items[at], points[at]
+
+
+def mc_max_weight(inst, values):
+    """Max-weight selection per realization row of inst (greedy by
+    decreasing weight, ties toward the lower index, zero weights left out).
+    Returns (totals, accepted).
+
+    On small supports (_SWEEP_POINTS) every row shares one scan order, the
+    positive support points, and a step takes the rows whose value is that
+    point; a positive value that is no support point of its item raises
+    ValueError. Larger supports run the per-row greedy."""
+    values = np.asarray(values, dtype=float)
+    items, points = _positive_support(inst)
+    allowance = _SWEEP_POINTS * inst.n * min(len(values), _SWEEP_ROWS)
+    if points.size * _SWEEP_ROWS > allowance:
+        return _max_weight_rows(inst.matroid, values)
+    # one column per item, read in place (contiguous when values is laid
+    # out column by column, as sample_value_matrix lays it out): a copy
+    # would be the largest array of the pass
+    columns = values.T
+    matched = 0
+
+    def steps():
+        nonlocal matched
+        for e, x in zip(items.tolist(), points.tolist()):
+            hit = np.flatnonzero(columns[e] == x)
+            matched += hit.size
+            yield e, hit
+
+    out = _sweep_greedy(inst.matroid, steps(), values)
+    if matched != sum(np.count_nonzero(c > 0.0) for c in columns):
+        raise ValueError("a positive value is not a support point of its "
+                         "item")
+    return out
 
 
 def mc_online_graphic(m, order, rule, values, coin_u, consider):
     """Online trials of a threshold rule, any matroid kind.
 
-    values, coin_u and consider are (trials, n); order is per trial or
-    broadcast. An item is taken when `rule.passes` on its value and coin
-    and it is considered. Returns (per-trial values, per-trial accepted
-    masks).
+    values, coin_u and consider are (trials, n); order is (k,), shared by
+    every trial, or (trials, k), one per trial. An item is taken when
+    `rule.passes` on its value and coin and it is considered. Returns
+    (per-trial values, per-trial accepted masks).
     """
     take = rule.passes(values, coin_u)
     take &= consider
-    return batched_greedy(m, order, take, values)
+    order = np.asarray(order)
+    if order.ndim == 2:
+        return batched_greedy(m, order, take, values)
+    return _sweep_greedy(m, ((e, np.flatnonzero(take[:, e]))
+                             for e in order.tolist()), values)
 
 
 def exact_reduce(m, offsets, sup_values, sup_probs):
@@ -129,10 +227,9 @@ def exact_reduce(m, offsets, sup_values, sup_probs):
             at = offsets[i] + k // strides[i] % sizes[i]
             values[:, i] = sup_values[at]
             prob *= sup_probs[at]
-        # mc_max_weight's body; the benchmark's traced run times
-        # mc_max_weight as the Monte Carlo layer, so enumeration stays out
-        totals, accepted = batched_greedy(m, _weight_order(values),
-                                          values > 0.0, values)
+        # the per-row max-weight pass, not mc_max_weight: the benchmark's
+        # traced run times mc_max_weight as the Monte Carlo layer
+        totals, accepted = _max_weight_rows(m, values)
         opt = running_sum(opt, prob * totals)
         for i in range(sizes.size):
             p[i] = running_sum(p[i], prob[accepted[:, i]])

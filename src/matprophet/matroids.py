@@ -49,7 +49,7 @@ class Matroid:
         lower index; zero-weight items are never taken.
         """
         w = self._check_weights(weights)
-        _, accepted = kernels.mc_max_weight(self, w[None])
+        _, accepted = kernels._max_weight_rows(self, w[None])
         return tuple(np.flatnonzero(accepted[0]).tolist())
 
     def _check_weights(self, weights):

@@ -102,8 +102,9 @@ def _exact_opt_and_membership(inst):
 
 def values_from_uniform(inst, u):
     """Realizations from a (rows, n) matrix of uniform [0,1) draws: each
-    column goes through its item's inverse cdf."""
-    out = np.empty(u.shape)
+    column goes through its item's inverse cdf. The matrix is laid out
+    column by column, as the greedy passes read it, one item at a time."""
+    out = np.empty(u.shape, order="F")
     for i, d in enumerate(inst.dists):
         out[:, i] = d.sample_from_uniform(u[:, i])
     return out
@@ -126,7 +127,7 @@ def _mc_opt_and_membership(inst, trials, seed):
     for done in range(0, trials, kernels.BLOCK):
         values = sample_value_matrix(inst, rng,
                                      min(kernels.BLOCK, trials - done))
-        opts, best = kernels.mc_max_weight(inst.matroid, values)
+        opts, best = kernels.mc_max_weight(inst, values)
         counts += best.sum(axis=0)
         total += float(opts.sum())
         total_sq += float(opts @ opts)

@@ -72,14 +72,25 @@ print(json.dumps(loaded))
 """
 
 
-def test_graphic_commands_never_load_scipy(tmp_path):
-    # scipy is imported only inside the function that uses it, so starting
-    # the CLI and every graphic command cost numpy's import, not scipy's
+def test_no_command_loads_scipy(tmp_path):
+    # starting the CLI and every command cost numpy's import, not scipy's:
+    # the graphic commands, and verify on the verify-suite benchmark's
+    # mixed suite and every uniform and partition baseline, whose atom coin
+    # comes from the Brent root written in baselines
     g = ["--instance", "suite/g.json"]
     run = ["run", *g, "--algo", "graphic-random-cut", "--trials", "2000"]
+    graphic = ["--family", "graphic", "--allow-parallel", "--edges", "10"]
+    bench_suite = [("g1", [*graphic, "--vertices", "8"]),
+                   ("g2", [*graphic, "--vertices", "9"]),
+                   ("u", ["--family", "uniform", "--n", "14", "--k", "4"]),
+                   ("p", ["--family", "partition", "--blocks", "4,4,4",
+                          "--capacities", "1,2,1"])]
     commands = [
         ["gen", "--family", "graphic", "--vertices", "5", "--edges", "7",
          "--allow-parallel", "--seed", "1", "--out", "suite/g.json"],
+        *(["gen", *flags, "--support-size", "2", "--seed", str(1000 + i),
+           "--out", f"suite/{name}.json"]
+          for i, (name, flags) in enumerate(bench_suite)),
         [*run, "--mode", "exact", "--out", "out/exact"],
         [*run, "--mode", "mc", "--order", "worst-case", "--out", "out/worst"],
         [*run, "--mode", "mc", "--order", "random", "--out", "out/random"],
@@ -87,6 +98,10 @@ def test_graphic_commands_never_load_scipy(tmp_path):
         ["reduce", *g, "--out", "out/reduce.json"],
         ["orient", *g, "--out", "out/orient.json"],
         ["verify", "--suite", "suite"],
+        *(["run", "--instance", f"suite/{name}.json", "--algo", algo,
+           "--mode", "exact", "--out", f"out/{algo}"]
+          for name, algo in (("u", "kuniform-prob"), ("u", "kuniform-optfrac"),
+                             ("p", "partition"), ("p", "partition-optfrac"))),
     ]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
         str(ROOT / "src"), os.environ.get("PYTHONPATH")))))

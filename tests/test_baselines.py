@@ -10,7 +10,7 @@ from matprophet import (PartitionMatroid, ProphetInstance, UniformMatroid,
                         kuniform_probabilistic_threshold, make_baseline,
                         partition_thresholds, prophet_value_exact,
                         samuel_cahn_threshold)
-from matprophet import kernels
+from matprophet import baselines, kernels
 from matprophet.distributions import DiscreteDistribution
 from matprophet.engine import expected_value_exact
 from matprophet.generate import (random_partition_instance,
@@ -211,3 +211,27 @@ def test_tight_two_item_example():
     assert ut.threshold == 1.0
     assert ut.atom_pass == pytest.approx(49.0 / 99.0, abs=1e-12)
     assert prophet_value_exact(inst) == pytest.approx(1.99)
+
+
+def test_brent_root_equals_scipy_brentq(monkeypatch):
+    """The probabilistic calibration finds its atom coin with Brent's
+    method written out in baselines; over 500 random calibrations it
+    returns the same floats as scipy.optimize.brentq given the same
+    bracket and tolerances."""
+    from scipy.optimize import brentq
+
+    rng = np.random.default_rng(41)
+    solved = []
+
+    def scipy_root(f, xa, xb, xtol, rtol):
+        solved.append(1)
+        return brentq(f, xa, xb, xtol=xtol, rtol=rtol)
+
+    while len(solved) < 500:
+        inst = random_uniform_instance(rng, max_n=8,
+                                       support_size=int(rng.integers(1, 5)))
+        ours = kuniform_probabilistic_threshold(inst)
+        with monkeypatch.context() as mp:
+            mp.setattr(baselines, "_brentq", scipy_root)
+            theirs = kuniform_probabilistic_threshold(inst)
+        assert ours == theirs

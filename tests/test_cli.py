@@ -12,7 +12,7 @@ from matprophet import (EnumerationCapError, GraphicMatroid, Orientation,
                         bernoulli_to_dict, cut_bound_exact, cut_objective,
                         derandomize_cut, load_instance, parse_instance,
                         save_instance)
-from matprophet import generate, kernels
+from matprophet import engine, generate, kernels, reduction
 from matprophet.cli import CSV_HEADER, _fmt, main, make_algorithm
 from matprophet.distributions import DiscreteDistribution
 from matprophet.engine import monte_carlo_ratio, safe_ratio
@@ -261,6 +261,42 @@ def test_run_baseline_summary(tmp_path):
     summary = json.loads((tmp_path / "sc.summary.json").read_text())
     assert summary["ratio"] >= 0.5 - 1e-9
     assert summary["threshold"]["method"] == "samuel-cahn"
+
+
+def test_exact_mode_samples_nothing(tmp_path, monkeypatch, capsys):
+    """run --mode exact and verify never reach a Monte Carlo pass: with the
+    sampler and both Monte Carlo kernels raising, they still exit 0 and
+    write their outputs."""
+    def never(*args, **kwargs):
+        raise AssertionError("an exact command reached a Monte Carlo pass")
+
+    for owner, name in ((kernels, "mc_max_weight"),
+                        (kernels, "mc_online_graphic"),
+                        (reduction, "sample_value_matrix"),
+                        (engine, "sample_value_matrix")):
+        monkeypatch.setattr(owner, name, never)
+    suite = tmp_path / "suite"
+    for name, flags in (("g", ("--family", "graphic", "--vertices", 5,
+                               "--edges", 7, "--allow-parallel")),
+                        ("u", ("--family", "uniform", "--n", 6, "--k", 2)),
+                        ("p", ("--family", "partition", "--blocks", "2,3",
+                               "--capacities", "1,2"))):
+        assert run_cli("gen", *flags, "--seed", 4,
+                       "--out", suite / f"{name}.json") == 0
+    for name, algo in (("g", "graphic-random-cut"),
+                       ("g", "graphic-derandomized"), ("u", "kuniform-prob")):
+        out = tmp_path / algo
+        assert run_cli("run", "--instance", suite / f"{name}.json",
+                       "--algo", algo, "--mode", "exact", "--out", out) == 0
+        assert json.loads((tmp_path / f"{algo}.summary.json").read_text())
+        assert (tmp_path / f"{algo}.csv").read_text()
+    capsys.readouterr()
+    assert run_cli("verify", "--suite", suite) == 0
+    assert "all checks passed" in capsys.readouterr().out
+    # the patches bite: a Monte Carlo run reaches them
+    with pytest.raises(AssertionError, match="Monte Carlo pass"):
+        run_cli("run", "--instance", suite / "g.json", "--algo",
+                "graphic-random-cut", "--mode", "mc", "--out", tmp_path / "mc")
 
 
 def test_reduce_and_orient(tmp_path, capsys):

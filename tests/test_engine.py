@@ -256,12 +256,12 @@ def test_worst_case_mc_draws_apart_from_the_reduction():
     red = ex_ante_reduce(inst, mode="mc", trials=trials, seed=seed)
     res, _, pro, _ = monte_carlo_ratio(inst, GraphicRandomCut(inst, red),
                                        trials, seed=seed, return_trials=True)
-    reused, _ = kernels.mc_max_weight(inst.matroid, sample_value_matrix(
+    reused, _ = kernels.mc_max_weight(inst, sample_value_matrix(
         inst, np.random.default_rng(seed), trials))
     assert not np.array_equal(pro, reused)
     assert res.mean_prophet != red.prophet_value
     child = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    drawn, _ = kernels.mc_max_weight(inst.matroid, sample_value_matrix(
+    drawn, _ = kernels.mc_max_weight(inst, sample_value_matrix(
         inst, child, trials))
     assert pro.tolist() == drawn.tolist()
 

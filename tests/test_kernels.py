@@ -7,13 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from matprophet import (GraphicMatroid, PartitionMatroid, ProphetInstance,
-                        ThresholdRule, UniformMatroid, execute_online,
-                        kernels)
+from matprophet import (DiscreteDistribution, GraphicMatroid,
+                        PartitionMatroid, ProphetInstance, ThresholdRule,
+                        UniformMatroid, execute_online, kernels)
 from matprophet.generate import (random_dists, random_distribution,
                                  random_partition_instance,
                                  random_uniform_instance)
-from matprophet.reduction import _support_arrays
+from matprophet.reduction import _support_arrays, sample_value_matrix
 from oracles import is_independent
 
 rng0 = np.random.default_rng
@@ -50,6 +50,15 @@ def oracle_greedy(m, order, take, values):
     mask = np.zeros(m.n, bool)
     mask[picked] = True
     return total, mask
+
+
+def instance_over(m, values):
+    """An instance on m whose item i has the distinct values of column i
+    as its support, equally likely."""
+    supports = [np.unique(values[:, i]) for i in range(m.n)]
+    return ProphetInstance(m, [DiscreteDistribution(s, np.full(s.size,
+                                                                1 / s.size))
+                               for s in supports])
 
 
 def oracle_max_weight(m, w):
@@ -144,7 +153,8 @@ def test_mc_max_weight_matches_oracle():
         m = random_matroid(rng)
         values = np.round(rng.random((30, m.n)) * 5, 3)
         values[rng.random((30, m.n)) < 0.2] = 0.0
-        totals, accepted = kernels.mc_max_weight(m, values)
+        totals, accepted = kernels.mc_max_weight(instance_over(m, values),
+                                                 values)
         want_counts = np.zeros(m.n, dtype=int)
         for tr in range(30):
             want_total, want_mask = oracle_max_weight(m, values[tr])
@@ -155,11 +165,108 @@ def test_mc_max_weight_matches_oracle():
 
 
 def test_uniform_matroid_is_single_block():
-    m = UniformMatroid(5, 2)
+    values = np.array([[3.0, 1.0, 2.0, 0.0, 2.5]])
     totals, accepted = kernels.mc_max_weight(
-        m, np.array([[3.0, 1.0, 2.0, 0.0, 2.5]]))
+        instance_over(UniformMatroid(5, 2), values), values)
     assert totals.tolist() == [5.5]
     assert np.flatnonzero(accepted[0]).tolist() == [0, 4]
+
+
+def grid_instance(rng, m, most):
+    """An instance on m whose supports are drawn from one small grid, so
+    items tie across supports: one to `most` values each, zero atoms,
+    single atoms and all-zero supports among them."""
+    grid = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.5, 7.0])
+    dists = []
+    for _ in range(m.n):
+        vals = np.sort(rng.choice(grid, int(rng.integers(1, most + 1)),
+                                  replace=False))
+        dists.append(DiscreteDistribution(vals, rng.dirichlet(np.ones(
+            vals.size))))
+    return ProphetInstance(m, dists)
+
+
+def as_bits(totals):
+    return np.asarray(totals, dtype=float).view(np.int64)
+
+
+def test_support_sweep_equals_the_per_row_greedy(monkeypatch):
+    """mc_max_weight with every allowance (the default, always sweep,
+    never sweep) gives the per-row greedy's totals bit for bit and its
+    masks, and both equal the plain oracle."""
+    rng = rng0(21)
+    cases = [random_matroid(rng) for _ in range(60)]
+    cases += [GraphicMatroid(0, []), GraphicMatroid(4, []),
+              GraphicMatroid(3, [(0, 1), (0, 1), (1, 2), (0, 2), (1, 2)]),
+              UniformMatroid(0, 0), UniformMatroid(4, 0),
+              PartitionMatroid([(0, 1), (2,), (3, 4)], [0, 1, 2])]
+    for case, m in enumerate(cases):
+        inst = grid_instance(rng, m, 2 if case % 2 else 8)
+        if case % 7 == 3:
+            inst = ProphetInstance(m, [DiscreteDistribution.constant(0.0)]
+                                   * m.n)
+        values = sample_value_matrix(inst, rng, 40)
+        want = [oracle_max_weight(m, w) for w in values]
+        got = [kernels._max_weight_rows(m, values),
+               kernels.mc_max_weight(inst, values)]
+        for points in (np.inf, 0):
+            monkeypatch.setattr(kernels, "_SWEEP_POINTS", points)
+            got.append(kernels.mc_max_weight(inst, values))
+        monkeypatch.undo()
+        for totals, accepted in got:
+            assert np.array_equal(as_bits(totals),
+                                  as_bits([t for t, _ in want]))
+            assert np.array_equal(accepted, np.array(
+                [mask for _, mask in want]).reshape(values.shape))
+
+
+def test_support_sweep_refuses_values_off_the_support():
+    """At 2048 rows and two support points per item the sweep runs by
+    default, and a positive value off its item's support is caught."""
+    coin = DiscreteDistribution([0.0, 2.0], [0.5, 0.5])
+    pair = DiscreteDistribution([1.0, 3.0], [0.5, 0.5])
+    zero = DiscreteDistribution.constant(0.0)
+    inst = ProphetInstance(GraphicMatroid(3, [(0, 1), (1, 2), (0, 2)]),
+                           [coin, pair, zero])
+    values = sample_value_matrix(inst, rng0(23), 2048)
+    kernels.mc_max_weight(inst, values)
+    for item, bad in ((0, 2.5), (1, 1.0 + 1e-12), (2, 0.5)):
+        off = values.copy()
+        off[17, item] = bad
+        with pytest.raises(ValueError, match="not a support point"):
+            kernels.mc_max_weight(inst, off)
+
+
+def test_online_sweep_equals_batched_greedy_on_shared_orders():
+    """A fixed (1-D) order runs the sweep; it gives batched_greedy's
+    totals bit for bit and its masks, also on rows that consider nothing
+    and on orders that leave items out."""
+    rng = rng0(24)
+    cases = [random_matroid(rng) for _ in range(60)]
+    cases += [GraphicMatroid(0, []), GraphicMatroid(4, []),
+              GraphicMatroid(3, [(0, 1), (0, 1), (1, 2), (0, 2)]),
+              UniformMatroid(4, 0)]
+    rows = 50
+    for m in cases:
+        values = np.round(rng.random((rows, m.n)) * 5, 1)
+        values[rng.random((rows, m.n)) < 0.2] = 0.0
+        coins = rng.random((rows, m.n))
+        consider = rng.random((rows, m.n)) < 0.7
+        consider[::7] = False
+        rule = ThresholdRule(np.round(rng.random(m.n) * 3, 1),
+                             rng.random(m.n))
+        take = rule.passes(values, coins) & consider
+        perm = rng.permutation(m.n)
+        for order in (perm, perm[:int(rng.integers(0, m.n + 1))]):
+            totals, accepted = kernels.mc_online_graphic(
+                m, order, rule, values, coins, consider)
+            want_totals, want_accepted = kernels.batched_greedy(
+                m, order, take, values)
+            assert np.array_equal(as_bits(totals), as_bits(want_totals))
+            assert np.array_equal(accepted, want_accepted)
+            assert not accepted[::7].any()
+            assert_rows_match(m, np.broadcast_to(order, (rows, order.size)),
+                              take, values, (totals, accepted))
 
 
 def test_exact_reduce_matches_bruteforce():

@@ -228,7 +228,7 @@ def test_reduction_keeps_its_prophet_value():
         # the mc reduction against one block of 3000 draws, worked here
         mc = ex_ante_reduce(inst, mode="mc", trials=3000, seed=case)
         values = sample_value_matrix(inst, np.random.default_rng(case), 3000)
-        opts, best = kernels.mc_max_weight(inst.matroid, values)
+        opts, best = kernels.mc_max_weight(inst, values)
         mean = float(opts.sum()) / 3000
         var = max(float(opts @ opts) / 3000 - mean ** 2, 0.0)
         assert mc.prophet_value == mean
