@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import kernels
 from .baselines import FAMILIES, make_baseline, require_family
 from .engine import expected_value_exact, monte_carlo_ratio, safe_ratio
 from .errors import EnumerationCapError, VerificationError, check_enum_cap
@@ -288,17 +289,16 @@ def _verify_instance(loaded):
         yield ("orientation-mass", worst <= 0.5 + mass_tol, 0.5 - worst, "")
 
         # blocking probability is monotone in the subset, so the largest
-        # subset avoiding the head's outgoing edges is the worst case for
-        # each edge; the row's patterns are counted once, over all edges
-        pools = []
-        for i in range(g.n):
-            skip = set(o.outgoing(int(o.heads[i]))) | {i}
-            pools.append([e for e in range(g.n) if e not in skip])
-        total = sum(2 ** len(pool) for pool in pools)
-        check_enum_cap(total, f"{total} incoming-blocking activation patterns")
-        worst_b = 0.0
-        for i, pool in enumerate(pools):
-            worst_b = max(worst_b, blocking_probability(g, p_scaled, pool, i))
+        # subset avoiding the head's outgoing edges is the worst case; one
+        # DP run per edge, over its pool and itself, all counted up front
+        skips = [set(o.outgoing(int(h))) | {i} for i, h in enumerate(o.heads)]
+        pools = [[e for e in range(g.n) if e not in skip] for skip in skips]
+        total = sum(kernels._cut_steps(g.num_vertices, g.eu[pool + [i]],
+                                       g.ev[pool + [i]], False)[1]
+                    for i, pool in enumerate(pools))
+        check_enum_cap(total, f"{total} incoming-blocking DP states")
+        worst_b = max([0.0] + [blocking_probability(g, p_scaled, pool, i)
+                               for i, pool in enumerate(pools)])
         yield ("incoming-blocking", worst_b <= 0.5 + mass_tol, 0.5 - worst_b,
                "")
 

@@ -87,14 +87,10 @@ def orient_low_indegree(g, p_scaled):
 
 
 def blocking_probability(g, probs, subset, i):
-    """Probability that item i is spanned by an independent activation of
-    subset \\ {i}, with item j active with probability probs[j]."""
-    p = np.asarray(probs, dtype=float)
-    members = np.array(sorted(set(int(e) for e in subset) - {int(i)}),
-                       dtype=np.int64)
-    check_enum_cap(2 ** members.size,
-                   f"2^{members.size} activation patterns")
-    return kernels.connect_probability(g, members, p, int(i))
+    """Pr[item i is spanned by an independent activation of subset \\ {i},
+    item j active with probability probs[j]]: one unsided frontier DP run."""
+    members = sorted(set(int(e) for e in subset) - {int(i)})
+    return kernels.connect_probability(g, members, probs, int(i))
 
 
 def cut_objective(g, p_scaled, t, orientation, in_a):
@@ -117,7 +113,8 @@ def derandomize_cut(g, p_scaled, t, orientation):
     expectation. Returns the cut as a read-only side-A indicator per
     vertex."""
     # its 2V DP runs are counted together, before the first
-    total = 2 * g.num_vertices * kernels._cut_steps(orientation)[1]
+    total = 2 * g.num_vertices * kernels._cut_steps(
+        g.num_vertices, orientation.tails, orientation.heads, True)[1]
     check_enum_cap(total, f"{total} cut states")
     assign = np.full(g.num_vertices, -1, dtype=np.int8)
     for v in range(g.num_vertices):

@@ -7,10 +7,10 @@ encoding, one branch per kind: graphic (kind 0: num_vertices, eu, ev)
 tracks per-row component labels, a capacitated partition such as a
 uniform matroid (kind 1: block_id, caps) per-row block counts.
 
-Every exact computation but two DPs (the counting `below_cap`, the cut
-quantities' `expected_cut_objective`) builds blocks of rows (outcomes,
-pass patterns, activation masks, cuts, polytope subsets) and calls the
-primitive; every subset sweep takes its rows from `subset_rows`. The
+Every exact computation but two DPs (the counting `below_cap`, the
+frontier `_component_slope`) builds blocks of rows (outcomes, pass
+patterns, cuts, polytope subsets) and calls the primitive; every subset
+sweep takes its rows from `subset_rows`. The
 Monte Carlo passes whose rows share one scan order (the prophet's
 max-weight pass on small supports, online trials in a fixed order) run
 `_sweep_greedy` instead, which touches only the rows that accept at each
@@ -303,17 +303,17 @@ def counting_rule_value(block_id, caps, cons, pass_probs, cond_values):
 def subset_rows(k, step=ENUM_BLOCK):
     """The 2^k subsets of k items as bit rows, in ascending mask order and
     in blocks of `step` rows: column j of a row is bit j of its mask. Every
-    subset sweep (pass and activation patterns, cuts, polytope subsets)
-    takes its rows from here, so they all enumerate in this one order."""
+    subset sweep (pass patterns, cuts, polytope subsets) takes its rows
+    from here, so they all enumerate in this one order."""
     for start in range(0, 1 << k, step):
         mask = np.arange(start, min(start + step, 1 << k))
         yield ((mask[:, None] >> np.arange(k)) & 1).astype(bool)
 
 
 def _patterns(q):
-    """Activation patterns in mask order, ENUM_BLOCK at a time: bit j of the
-    mask activates item j, active with probability q[j]. Yields (bits
-    (B, m), pattern probabilities (B,))."""
+    """Patterns of independent events in mask order, ENUM_BLOCK at a time:
+    bit j of the mask sets event j, which occurs with probability q[j].
+    Yields (bits (B, m), pattern probabilities (B,))."""
     for bits in subset_rows(q.size):
         prob = np.ones(len(bits))
         for j in range(q.size):
@@ -338,22 +338,6 @@ def rule_value_exact(m, cons, pass_probs, cond_values):
     return float(total)
 
 
-def connect_probability(m, members, probs, target):
-    """Probability that an independent activation of `members` (item e
-    active with probability probs[e]) spans item `target`, which is not
-    among them: each activation pattern is one greedy row that scans the
-    active members and then the target, which is spanned when refused."""
-    members = np.asarray(members, dtype=np.int64)
-    out = 0.0
-    for bits, prob in _patterns(probs[members]):
-        take = np.zeros((len(bits), probs.size), dtype=bool)
-        take[:, members] = bits
-        take[:, target] = True
-        _, acc = batched_greedy(m, np.append(members, target), take, 0.0)
-        out = running_sum(out, np.where(acc[:, target], 0.0, prob))
-    return float(out)
-
-
 def distinct_rows(rows):
     """(the distinct rows of a stack of bool rows, ascending; per row, the
     index of its distinct row), as np.unique(rows, axis=0,
@@ -366,13 +350,13 @@ def distinct_rows(rows):
     return keys.view(bool).reshape(len(keys), -1)[:, 1:], inverse
 
 
-def _cut_steps(orientation):
-    """The cut DP's plan: per step, the next vertex (most placed neighbours,
-    ties to the lower index), the (tail, head, edge) frontier positions of
-    its edges to placed vertices, and the positions that then leave, last
-    first; and the cap count, the sum over steps of 2^w Bell(w), width w."""
-    nv = orientation.num_vertices
-    ends = list(zip(orientation.tails.tolist(), orientation.heads.tolist()))
+def _cut_steps(nv, tails, heads, sided):
+    """The frontier DP's plan over nv vertices and the edges f, tails[f] to
+    heads[f]: per step, the next vertex (most placed neighbours, ties to the
+    lower index), the (tail, head, edge) frontier positions of its edges to
+    placed vertices, and the positions that then leave, last first; and the cap
+    count, the sum over steps of Bell(w), 2^w Bell(w) when sided, width w."""
+    ends = list(zip(tails.tolist(), heads.tolist()))
     nbrs = [{u + w - x for u, w in ends if x in (u, w)} for x in range(nv)]
     placed, frontier, steps, size = set(), [], [], 0
     bell, row = [1], [1]  # the Bell triangle: row k starts with Bell(k)
@@ -386,7 +370,7 @@ def _cut_steps(orientation):
         placed.add(v)
         row = list(itertools.accumulate(row, initial=row[-1]))
         bell.append(row[0])
-        size += 2 ** len(frontier) * bell[len(frontier)]
+        size += (2 ** len(frontier) if sided else 1) * bell[len(frontier)]
         steps.append((v, joins, [i for i, x in enumerate(frontier)
                                  if nbrs[x] <= placed][::-1]))
         frontier = [x for x in frontier if not nbrs[x] <= placed]
@@ -407,32 +391,28 @@ def _branch(states, moves):
     return out
 
 
-def expected_cut_objective(g, orientation, p, t, assign):
-    """Average cut objective over uniform completions of a partial side
-    assignment (per vertex: 1 side A, 0 side B, -1 undecided): the sum over
-    edges e of p_e t_e Pr[e crosses from A to B and no path of other present
-    edges joins its ends], edge f present when it crosses and a coin of
-    probability p_f lands. That is minus the derivative of E[#components of
-    the present edges] along w = p*t, so one frontier DP carries a dual
-    number (probability, derivative) per state: a crossing edge f joining two
-    components branches into "merge" (p_f, w_f) and "no merge" (1 - p_f,
-    -w_f), and a component closing when its last frontier vertex leaves adds
-    its state's derivative. A state is one code per frontier vertex,
-    2 * component label + side (1 for A)."""
-    steps, size = _cut_steps(orientation)
-    check_enum_cap(size, f"{size} cut states")
-    p = np.asarray(p, dtype=float)
-    q, w = p.tolist(), (p * np.asarray(t, dtype=float)).tolist()
+def _component_slope(plan, q, w, assign):
+    """-<w, grad E[#components of the present edges]> over a _cut_steps plan,
+    edge f present with probability q[f], by a frontier DP with a dual number
+    (probability, derivative) per state: an edge f joining two components
+    branches into "merge" (q_f, w_f) and "no merge" (1 - q_f, -w_f); a
+    component closing as its last frontier vertex leaves adds its state's
+    derivative. A state codes each frontier vertex 2 * label + side (1 for A).
+    Unsided (assign None), any edge may be present; sided, only one from A
+    (tail) to B (head), averaged over the completions of assign (-1 free)."""
+    (steps, size), sided = plan, assign is not None
+    check_enum_cap(size, f"{size} {'cut' if sided else 'connection'} states")
     states, slope = {(): (1.0, 0.0)}, 0.0
     for v, joins, leave in steps:
-        sides = (1, 0) if assign[v] < 0 else (int(assign[v]),)
+        sides = ((1, 0) if assign[v] < 0 else (int(assign[v]),)) if sided \
+            else (0,)
         states = _branch(states, lambda key: [
             (key + (2 * len(key) + s,), 1.0 / len(sides), 0.0) for s in sides])
         for i, j, f in joins:
 
             def join(key):
                 li, lj = key[i] >> 1, key[j] >> 1
-                if not key[i] & 1 or key[j] & 1 or li == lj:
+                if li == lj or sided and (not key[i] & 1 or key[j] & 1):
                     return [(key, 1.0, 0.0)]
                 merged = [c & 1 | lj << 1 if c >> 1 == li else c for c in key]
                 return [(merged, q[f], w[f]), (key, 1.0 - q[f], -w[f])]
@@ -443,3 +423,26 @@ def expected_cut_objective(g, orientation, p, t, assign):
             states = _branch(states, lambda key: [(key[:i] + key[i + 1:],
                                                    1.0, 0.0)])
     return 0.0 - slope
+
+
+def expected_cut_objective(g, orientation, p, t, assign):
+    """Average cut objective over uniform completions of assign (per vertex:
+    1 side A, 0 side B, -1 undecided): the sum over edges e of p_e t_e
+    Pr[e crosses from A to B and no path of other present edges joins its
+    ends], edge f present when it crosses and a coin of probability p_f
+    lands; the sided _component_slope along w = p*t."""
+    p, t = np.asarray(p, dtype=float), np.asarray(t, dtype=float)
+    plan = _cut_steps(g.num_vertices, orientation.tails, orientation.heads,
+                      True)
+    return _component_slope(plan, p.tolist(), (p * t).tolist(), assign)
+
+
+def connect_probability(m, members, probs, target):
+    """Pr[an independent activation of `members` (edge e of the graph m
+    active with probability probs[e]) joins the ends of edge `target`, not
+    among them] = 1 + dE[#components]/dq_target, an unsided _component_slope
+    along the target's unit vector; it does not read q_target, set to 0."""
+    edges = np.array([*members, target], dtype=np.int64)
+    plan = _cut_steps(m.num_vertices, m.eu[edges], m.ev[edges], False)
+    q = [float(probs[e]) for e in members] + [0.0]
+    return 1.0 - _component_slope(plan, q, [0.0] * (len(q) - 1) + [1.0], None)

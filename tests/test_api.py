@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -41,9 +43,15 @@ def test_every_traced_boundary_resolves():
 
 
 def test_imports_stay_within_numpy_and_scipy():
-    # the dependencies are numpy and scipy; anything else installed here
-    # (networkx, numba) must not leak into the package
-    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy", "matprophet"}
+    # the package imports, past the standard library, exactly the runtime
+    # dependencies that pyproject.toml declares (numpy alone: scipy is a
+    # test oracle); anything else installed here (scipy, networkx, numba)
+    # must not leak into it, and the console script is the CLI's main
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", dep)[0]
+                for dep in project["dependencies"]}
+    imported = set()
     for path in sorted((ROOT / "src" / "matprophet").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -52,8 +60,13 @@ def test_imports_stay_within_numpy_and_scipy():
                 names = [node.module]
             else:
                 continue
-            for name in names:
-                assert name.split(".")[0] in allowed, f"{path.name}: {name}"
+            imported |= {name.split(".")[0] for name in names}
+    assert imported - set(sys.stdlib_module_names) - {"matprophet"} == \
+        declared
+    from matprophet.cli import main
+    assert project["scripts"] == {"matprophet": "matprophet.cli:main"}
+    module, _, attr = project["scripts"]["matprophet"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is main
 
 
 # runs in a fresh interpreter: the scipy modules loaded after importing

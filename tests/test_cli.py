@@ -537,7 +537,8 @@ def test_derandomized_cut_counts_its_runs_together(tmp_path, capsys,
     capsys.readouterr()
     g = load_instance(inst_path).instance.matroid
     orientation = Orientation(g.num_vertices, g.eu, g.ev, g.ev)
-    one = kernels._cut_steps(orientation)[1]
+    one = kernels._cut_steps(g.num_vertices, orientation.tails,
+                             orientation.heads, True)[1]
     total = 2 * g.num_vertices * one
     runs = []
     dp = kernels.expected_cut_objective
@@ -678,31 +679,50 @@ def test_verify_checks_incoming_blocking_at_every_size(tmp_path, capsys,
     assert run_cli("verify", "--suite", path) == 0
     assert "incoming-blocking            pass +3.617e-01" \
         in capsys.readouterr().out
-    # one outcome, so the reduction fits a cap of 1000; the blocking row's
-    # patterns do not, and the row is refused, not left out
+    # one outcome, so the reduction fits a cap of 100; the blocking row's
+    # 353 DP states do not (each edge's run, at most 38, would), and the
+    # row is refused, not left out
     inst = load_instance(path).instance
     save_instance(path, ProphetInstance(
         inst.matroid, [DiscreteDistribution.constant(1.0)] * inst.n))
-    monkeypatch.setenv("MATPROPHET_ENUM_CAP", "1000")
+    monkeypatch.setenv("MATPROPHET_ENUM_CAP", "100")
     assert run_cli("verify", "--suite", path) == 2
     assert capsys.readouterr().err == (
-        "error: 14592 incoming-blocking activation patterns exceed the "
-        "enumeration cap 1000\n")
+        "error: 353 incoming-blocking DP states exceed the enumeration cap "
+        "100\n")
+
+
+def test_verify_runs_the_blocking_row_past_its_pattern_count(tmp_path,
+                                                            capsys,
+                                                            monkeypatch):
+    # 9 vertices, 18 edges: the row's pools hold 1,368,064 activation
+    # patterns, more than the default cap, but its DP runs count 1,899
+    # states, and the row is checked
+    monkeypatch.delenv("MATPROPHET_ENUM_CAP", raising=False)
+    path = tmp_path / "g.json"
+    run_cli("gen", "--family", "graphic", "--vertices", 9, "--edges", 18,
+            "--allow-parallel", "--support-size", 2, "--seed", 7,
+            "--out", path)
+    capsys.readouterr()
+    assert run_cli("verify", "--suite", path) == 0
+    assert "incoming-blocking            pass +2.489e-01" \
+        in capsys.readouterr().out
 
 
 def test_verify_counts_the_blocking_row_once(tmp_path, capsys, monkeypatch):
-    # each of the 12 edges enumerates at most 2^11 patterns, under the cap,
-    # but the row's 18,624 together are not: refused before the first
-    g = generate.random_graph(np.random.default_rng(0), 5, 12,
+    # the reduction's 2^5 outcomes fit the cap, and so does each of the 5
+    # edges' DP runs (at most 9 states), but the row's 43 together do not:
+    # refused before the first
+    g = generate.random_graph(np.random.default_rng(0), 5, 5,
                               allow_parallel=True)
     path = tmp_path / "b.json"
     save_instance(path, bernoulli_to_dict(g, [0.2] * g.n, [1.0] * g.n))
-    monkeypatch.setenv("MATPROPHET_ENUM_CAP", "4096")
+    monkeypatch.setenv("MATPROPHET_ENUM_CAP", "32")
     assert run_cli("verify", "--suite", path) == 2
     out, err = capsys.readouterr()
     assert "orientation-mass" in out and "incoming-blocking" not in out
-    assert err == ("error: 18624 incoming-blocking activation patterns "
-                   "exceed the enumeration cap 4096\n")
+    assert err == ("error: 43 incoming-blocking DP states exceed the "
+                   "enumeration cap 32\n")
 
 
 def test_exact_run_counts_every_pass_pattern_up_front(tmp_path, capsys,

@@ -1,6 +1,7 @@
 """Orientation, cuts, blocking probabilities, and the cut lower bound."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -204,10 +205,20 @@ def test_derandomized_cut_beats_average():
 
 
 def crossing_value(g, cross, p, t):
-    """A crossing set's objective, one connect_probability per edge."""
-    return kernels.running_sum(0.0, np.array([
-        p[e] * t[e] * (1.0 - kernels.connect_probability(
-            g, np.delete(cross, a), p, e)) for a, e in enumerate(cross)]))
+    """A crossing set's objective in floats, apart from the package's DP:
+    each activation pattern of the other crossing edges spans e when adding
+    e keeps the rank."""
+    total = 0.0
+    for e in cross.tolist():
+        others = [f for f in cross.tolist() if f != e]
+        spanned = 0.0
+        for bits in itertools.product((False, True), repeat=len(others)):
+            active = [f for f, hit in zip(others, bits) if hit]
+            if rank(g, active + [e]) == rank(g, active):
+                spanned += math.prod(p[f] if hit else 1.0 - p[f]
+                                     for f, hit in zip(others, bits))
+        total += p[e] * t[e] * (1.0 - spanned)
+    return total
 
 
 def exact_crossing_value(g, cross, p, t):

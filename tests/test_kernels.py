@@ -313,7 +313,36 @@ def test_rule_value_exact_matches_pattern_enumeration():
         assert got == pytest.approx(want, abs=1e-9)
 
 
-def test_connect_probability_matches_bruteforce():
+def bruteforce_connect(g, members, probs, target):
+    """Pr[the active members join the ends of target], one activation
+    pattern of the members at a time, by union-find."""
+    want = 0.0
+    for bits in itertools.product([False, True], repeat=len(members)):
+        pr = 1.0
+        active = []
+        for e, hit in zip(members, bits):
+            pr *= probs[e] if hit else 1.0 - probs[e]
+            if hit:
+                active.append(int(e))
+        parent = list(range(g.num_vertices))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for e in active:
+            ru, rv = find(int(g.eu[e])), find(int(g.ev[e]))
+            if ru != rv:
+                parent[ru] = rv
+        if find(int(g.eu[target])) == find(int(g.ev[target])):
+            want += pr
+    return want
+
+
+def test_connect_probability_matches_bruteforce(monkeypatch):
+    monkeypatch.delenv("MATPROPHET_ENUM_CAP", raising=False)
     rng = rng0(5)
     for _ in range(20):
         nv = int(rng.integers(2, 5))
@@ -328,29 +357,35 @@ def test_connect_probability_matches_bruteforce():
             rng.choice(rest, int(rng.integers(0, len(rest) + 1)),
                        replace=False)), dtype=np.int64)
         got = kernels.connect_probability(g, members, probs, target)
-        want = 0.0
-        for bits in itertools.product([False, True], repeat=members.size):
-            pr = 1.0
-            active = []
-            for e, hit in zip(members, bits):
-                pr *= probs[e] if hit else 1.0 - probs[e]
-                if hit:
-                    active.append(int(e))
-            parent = list(range(nv))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for e in active:
-                ru, rv = find(int(g.eu[e])), find(int(g.ev[e]))
-                if ru != rv:
-                    parent[ru] = rv
-            if find(int(g.eu[target])) == find(int(g.ev[target])):
-                want += pr
-        assert got == pytest.approx(want, abs=1e-12)
+        assert got == pytest.approx(
+            bruteforce_connect(g, members, probs, target), abs=1e-12)
+        # the target's own probability never enters
+        probs[target] = 1.0 - probs[target]
+        assert kernels.connect_probability(g, members, probs, target) == got
+    # parallel edges: the target's twins span it, the edge beside does not
+    g = GraphicMatroid(3, [(0, 1), (0, 1), (1, 2), (1, 0)])
+    probs = np.array([0.9, 0.3, 0.5, 0.6])
+    got = kernels.connect_probability(g, [1, 2, 3], probs, 0)
+    assert got == pytest.approx(1.0 - 0.7 * 0.4, abs=1e-12)
+    assert got == pytest.approx(bruteforce_connect(g, [1, 2, 3], probs, 0),
+                                abs=1e-12)
+    # no members: never spanned
+    assert kernels.connect_probability(g, [], probs, 0) == 0.0
+    assert kernels.connect_probability(g, np.zeros(0, np.int64), probs,
+                                       2) == 0.0
+    # 25 members, whose 2^25 activation patterns exceed the default cap:
+    # one more parallel edge and twelve two-edge paths between the
+    # target's ends; the target is spanned unless all thirteen routes break
+    edges = [(0, 1), (1, 0)]
+    for m in range(2, 14):
+        edges += [(0, m), (m, 1)]
+    g = GraphicMatroid(14, edges)
+    probs = rng.uniform(0.05, 0.95, g.n)
+    broken = 1.0 - probs[1]
+    for f in range(2, g.n, 2):
+        broken *= 1.0 - probs[f] * probs[f + 1]
+    got = kernels.connect_probability(g, np.arange(1, g.n), probs, 0)
+    assert got == pytest.approx(1.0 - broken, rel=1e-12)
 
 
 def test_counting_matches_enumeration():

@@ -276,8 +276,10 @@ def test_every_exact_enumeration_checks_one_cap(monkeypatch):
         (lambda: expected_rule_value(inst, ThresholdRule(np.ones(3),
                                                          np.ones(3)),
                                      [0, 1, 2]), "2\\^3 pass patterns"),
+        # the triangle's frontier widths are 1, 2, 3: an unsided run counts
+        # Bell(1) + Bell(2) + Bell(3) = 1 + 2 + 5 states
         (lambda: blocking_probability(g, np.full(3, 0.5), [0, 1, 2], 2),
-         "2\\^2 activation patterns"),
+         "8 connection states"),
         # the triangle's frontier widths are 1, 2, 3: 2*1 + 4*2 + 8*5 states
         (lambda: cut_bound_exact(g, np.full(3, 0.125), np.ones(3),
                                  orientation), "50 cut states"),
