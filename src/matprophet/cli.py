@@ -32,6 +32,8 @@ GRAPHIC_ALGOS = ("graphic-random-cut", "graphic-derandomized")
 BASELINE_ALGOS = tuple(FAMILIES)
 CSV_HEADER = ("trial,seed,order_tag,alg_value,prophet_value,ratio,"
               "accepted_edges,degenerate")
+# Monte Carlo trials per CSV text chunk; small chunks keep memory low
+CSV_CHUNK = 1 << 11
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,24 +109,41 @@ def cmd_gen(args):
     return 0
 
 
-def _trial_rows(seed, order_tag, alg_vals, pro_vals, accepted):
-    """CSV rows of a Monte Carlo run, built column-wise from the trial
-    arrays and yielded one at a time; a trial whose prophet value is 0
-    gets ratio 1 and the degenerate flag, as in `safe_ratio`."""
+def _fmt_floats(x):
+    """[repr(float(v)) for v in x], each distinct value formatted once; the
+    values are told apart by their bits, so 0.0 and -0.0 stay apart."""
+    bits, inverse = np.unique(np.ascontiguousarray(x, dtype=float)
+                              .view(np.int64), return_inverse=True)
+    text = list(map(repr, bits.view(float).tolist()))
+    return list(map(text.__getitem__, inverse.tolist()))
+
+
+def _trial_chunks(seed, order_tag, alg_vals, pro_vals, accepted):
+    """The CSV rows of a Monte Carlo run, CSV_CHUNK trials at a time, built
+    column by column: each distinct value and each distinct accepted set of
+    a chunk is formatted once. A chunk is yielded as one row of one field
+    for `_write_csv`, its lines joined by newlines. A trial whose prophet
+    value is 0 gets ratio 1 and the degenerate flag, as in `safe_ratio`."""
     degenerate = pro_vals == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(degenerate, 1.0, alg_vals / pro_vals)
-    # row-major nonzeros: each trial's accepted items in ascending order
-    trial_of, item = np.nonzero(accepted)
-    bounds = np.searchsorted(trial_of, np.arange(len(accepted) + 1)).tolist()
-    item = item.tolist()
-    seed = str(seed)
-    for tr, (a, p, r, dg) in enumerate(zip(
-            alg_vals.tolist(), pro_vals.tolist(), ratio.tolist(),
-            degenerate.tolist())):
-        yield (str(tr), seed, order_tag, repr(a), repr(p), repr(r),
-               ";".join(map(str, item[bounds[tr]:bounds[tr + 1]])),
-               "1" if dg else "0")
+    # one row's cells: its six fields at the even places, then separators
+    row = [None, f",{seed},{order_tag},", None, ",", None, ",", None, ",",
+           None, ",", None, "\n"]
+    for start in range(0, len(alg_vals), CSV_CHUNK):
+        part = slice(start, start + CSV_CHUNK)
+        sets, inverse = kernels.distinct_rows(accepted[part])
+        sets = [";".join(map(str, np.flatnonzero(s).tolist())) for s in sets]
+        cells = row * len(inverse)
+        for at, column in enumerate((
+                map(str, range(start, start + len(inverse))),
+                _fmt_floats(alg_vals[part]), _fmt_floats(pro_vals[part]),
+                _fmt_floats(ratio[part]),
+                map(sets.__getitem__, inverse.tolist()),
+                map("01".__getitem__, degenerate[part].tolist()))):
+            cells[2 * at::len(row)] = column
+        cells[-1] = ""  # _write_csv ends the last line
+        yield ("".join(cells),)
 
 
 def _write_csv(path, rows):
@@ -172,8 +191,9 @@ def cmd_run(args):
                        level=res.level, degenerate=res.degenerate,
                        trials=res.trials,
                        low_sample_warning=res.low_sample_warning)
-        rows = _trial_rows(args.seed, order_tag, alg_vals, pro_vals,
-                           accepted)
+        # built lazily, inside _write_csv
+        rows = _trial_chunks(args.seed, order_tag, alg_vals, pro_vals,
+                             accepted)
 
     summary["p"] = red.p.tolist()
     summary["t"] = red.t.tolist()

@@ -15,6 +15,9 @@ Monte Carlo passes whose rows share one scan order (the prophet's
 max-weight pass on small supports, online trials in a fixed order) run
 `_sweep_greedy` instead, which touches only the rows that accept at each
 step; random-order trials and large supports keep the per-row primitive.
+On a graph of at most 16 vertices the sweep holds a row's labels in one
+uint64 word, 4 bits a vertex, and merges with word arithmetic; above
+that, a row of byte labels was the faster form and stays.
 Sums run left to right in enumeration or acceptance order, so each result
 equals the one a plain loop over the rows gives, bit for bit.
 """
@@ -38,6 +41,10 @@ ENUM_BLOCK = 1 << 12
 # more; past it the per-row greedy is faster
 _SWEEP_POINTS = 4
 _SWEEP_ROWS = 1 << 11
+# _sweep_greedy packs a graphic row's labels into one uint64, 4 bits a
+# vertex, up to this many vertices; _LANES has a 1 in each lane's low bit
+_WORD_VERTICES = 16
+_LANES = np.uint64(0x1111_1111_1111_1111)
 
 
 def running_sum(start, terms):
@@ -100,13 +107,35 @@ def _sweep_greedy(m, steps, values):
     totals = np.zeros(rows)
     accepted = np.zeros((rows, n), dtype=bool)
     kind, num_vertices, eu, ev, block_id, caps = m.kernel_args()
-    if kind == KIND_GRAPHIC:
+    packed = kind == KIND_GRAPHIC and num_vertices <= _WORD_VERTICES
+    if packed:
+        # vertex x's label in bits 4x to 4x + 3 of its row's word
+        label = np.full(rows, sum(x << 4 * x for x in range(num_vertices)),
+                        np.uint64)
+        at_u, at_v = (4 * eu).tolist(), (4 * ev).tolist()
+    elif kind == KIND_GRAPHIC:
         label = np.empty((rows, num_vertices), np.min_scalar_type(num_vertices))
         label[:] = np.arange(num_vertices)
     else:
         used = np.zeros((caps.size, rows), np.int64)
     for e, hit in steps:
-        if kind == KIND_GRAPHIC:
+        if packed:
+            word = label[hit]
+            lu = word >> at_u[e] & 0xF
+            lv = word >> at_v[e] & 0xF
+            # merge, by the SWAR zero-lane test: the xor zeroes the lanes
+            # equal to lu, the folds OR each lane into its low bit, and the
+            # lanes left 0 become 0xF masks that take lv; a row whose ends
+            # already share a label rewrites lu with itself
+            zero = word ^ lu * _LANES
+            zero |= zero >> 1
+            zero |= zero >> 2
+            zero = ~zero & _LANES
+            zero *= 0xF
+            word ^= (word ^ lv * _LANES) & zero
+            label[hit] = word
+            hit = hit[lu != lv]
+        elif kind == KIND_GRAPHIC:
             lu = label[hit, eu[e]]
             lv = label[hit, ev[e]]
             ok = lu != lv

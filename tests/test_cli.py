@@ -1,5 +1,6 @@
 """Instance files and the command line front end."""
 
+import contextlib
 import csv
 import json
 import re
@@ -13,9 +14,10 @@ from matprophet import (EnumerationCapError, GraphicMatroid, Orientation,
                         derandomize_cut, load_instance, parse_instance,
                         save_instance)
 from matprophet import engine, generate, kernels, reduction
-from matprophet.cli import CSV_HEADER, _fmt, main, make_algorithm
+from matprophet.cli import (CSV_CHUNK, CSV_HEADER, _fmt, _fmt_floats, main,
+                            make_algorithm)
 from matprophet.distributions import DiscreteDistribution
-from matprophet.engine import monte_carlo_ratio, safe_ratio
+from matprophet.engine import LOW_SAMPLE_FLOOR, monte_carlo_ratio, safe_ratio
 from matprophet.generate import random_distribution, random_graphic_instance
 from oracles import rank
 
@@ -226,16 +228,19 @@ def test_mc_csv_matches_per_row_oracle(tmp_path):
     g = GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)])
     uniform = ProphetInstance(UniformMatroid(4, 2),
                               [sparse() for _ in range(4)])
+    # the uniform case's trials cross two CSV chunk boundaries
     cases = [(ProphetInstance(g, [sparse() for _ in range(g.n)]),
-              "graphic-random-cut"), (uniform, "kuniform-prob")]
-    trials, seed = 300, 7
+              "graphic-random-cut", 300),
+             (uniform, "kuniform-prob", 2 * CSV_CHUNK + 3)]
+    seed = 7
     degenerate = empty = 0
-    for case, (inst, name) in enumerate(cases):
+    for case, (inst, name, trials) in enumerate(cases):
         inst_path = tmp_path / f"i{case}.json"
         save_instance(inst_path, inst)
         for order in ("worst-case", "random"):
             out = tmp_path / f"{case}-{order}"
-            with pytest.warns(UserWarning):
+            with (pytest.warns(UserWarning) if trials < LOW_SAMPLE_FLOOR
+                  else contextlib.nullcontext()):
                 assert run_cli("run", "--instance", inst_path, "--algo", name,
                                "--mode", "mc", "--trials", trials, "--seed",
                                seed, "--order", order, "--out", out) == 0
@@ -249,6 +254,15 @@ def test_mc_csv_matches_per_row_oracle(tmp_path):
             degenerate += int((pro == 0).sum())
             empty += int((~acc.any(axis=1)).sum())
     assert degenerate > 0 and empty > degenerate
+
+
+def test_float_text_equals_repr():
+    """_fmt_floats formats each distinct value once, told apart by its
+    bits: 0.0 and -0.0 keep their own text, as do NaN and the infinities."""
+    x = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.5e-310,
+                  0.1, -0.0, 0.1, 1.0 / 3.0, 0.0, np.nan, 1.0 / 3.0, 2.5])
+    assert _fmt_floats(x) == [repr(float(v)) for v in x]
+    assert _fmt_floats(x[:0]) == []
 
 
 def test_run_baseline_summary(tmp_path):

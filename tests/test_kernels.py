@@ -40,6 +40,19 @@ def random_matroid(rng):
     return PartitionMatroid(blocks, caps)
 
 
+def wide_graphs(rng):
+    """Graphs on 16 and 17 vertices, either side of the most whose labels
+    _sweep_greedy packs into one word, and on 30: 2 nv random edges, each
+    fourth of them doubled, that leave the middle vertex isolated."""
+    graphs = []
+    for nv in (16, 17, 30):
+        ends = np.delete(np.arange(nv), nv // 2)
+        edges = [tuple(sorted(rng.choice(ends, 2, replace=False).tolist()))
+                 for _ in range(2 * nv)]
+        graphs.append(GraphicMatroid(nv, edges + edges[::4]))
+    return graphs
+
+
 def oracle_greedy(m, order, take, values):
     picked, total = [], 0.0
     for e in order:
@@ -195,7 +208,7 @@ def test_support_sweep_equals_the_per_row_greedy(monkeypatch):
     never sweep) gives the per-row greedy's totals bit for bit and its
     masks, and both equal the plain oracle."""
     rng = rng0(21)
-    cases = [random_matroid(rng) for _ in range(60)]
+    cases = [random_matroid(rng) for _ in range(60)] + wide_graphs(rng)
     cases += [GraphicMatroid(0, []), GraphicMatroid(4, []),
               GraphicMatroid(3, [(0, 1), (0, 1), (1, 2), (0, 2), (1, 2)]),
               UniformMatroid(0, 0), UniformMatroid(4, 0),
@@ -242,7 +255,7 @@ def test_online_sweep_equals_batched_greedy_on_shared_orders():
     totals bit for bit and its masks, also on rows that consider nothing
     and on orders that leave items out."""
     rng = rng0(24)
-    cases = [random_matroid(rng) for _ in range(60)]
+    cases = [random_matroid(rng) for _ in range(60)] + wide_graphs(rng)
     cases += [GraphicMatroid(0, []), GraphicMatroid(4, []),
               GraphicMatroid(3, [(0, 1), (0, 1), (1, 2), (0, 2)]),
               UniformMatroid(4, 0)]
